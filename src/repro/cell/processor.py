@@ -8,6 +8,7 @@ MapReduce-on-Cell semantics) lives in :mod:`repro.cell.runtime`.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Generator
 
 from repro.sim.engine import Environment
@@ -116,23 +117,38 @@ class PPE:
 
 
 class CellProcessor:
-    """One Cell BE socket: 1 PPE + 8 SPEs + shared DMA engine."""
+    """One Cell BE socket: 1 PPE + 8 SPEs + shared DMA engine.
+
+    The hardware is built on first use: a socket that only ever hosts
+    Java mappers (which run on the blade's cores, not on the Cell)
+    allocates no PPE, DMA engine or SPE. Construction has no simulation
+    side effects, so building late changes no event.
+    """
 
     def __init__(self, env: Environment, socket_id: int, calib: "CalibrationProfile"):
         self.env = env
         self.socket_id = socket_id
         self.calib = calib
-        self.dma = DMAEngine(env, calib)
-        self.ppe = PPE(env, calib)
-        self.spes = [SPE(env, i, self.dma, calib) for i in range(calib.spes_per_cell)]
+
+    @cached_property
+    def dma(self) -> DMAEngine:
+        return DMAEngine(self.env, self.calib)
+
+    @cached_property
+    def ppe(self) -> PPE:
+        return PPE(self.env, self.calib)
+
+    @cached_property
+    def spes(self) -> list[SPE]:
+        return [SPE(self.env, i, self.dma, self.calib) for i in range(self.spe_count)]
 
     @property
     def spe_count(self) -> int:
-        return len(self.spes)
+        return self.calib.spes_per_cell
 
     def total_spe_busy_s(self) -> float:
         """Aggregate SPE kernel-active seconds (energy accounting)."""
-        return sum(s.busy_s for s in self.spes)
+        return sum(s.busy_s for s in self.__dict__.get("spes", ()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CellProcessor #{self.socket_id} spes={self.spe_count}>"

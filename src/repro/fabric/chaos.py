@@ -157,6 +157,13 @@ def run_chaos_fleet(
         fleet.workers.append(worker)
         t.start()
 
+    # Worker threads run points in-process, and _run_point_task sets the
+    # process-global reference modes for the length of a point. Pin the
+    # entry state before the first worker starts (it may be mid-point,
+    # modes set, by the time this thread runs again) and force-restore
+    # it once every thread is joined.
+    prev_reference = engine.REFERENCE_MODE
+    prev_model_reference = modelmode.REFERENCE_MODE
     for chaos in schedules:
         spawn(chaos)
 
@@ -164,13 +171,6 @@ def run_chaos_fleet(
     timer = threading.Timer(timeout_s, deadline.set)
     timer.start()
     restarts = 0
-    # Worker threads run points in-process, and _run_point_task's
-    # save/set/restore of the process-global reference modes races
-    # between threads — harmless during the run (every worker sets the
-    # same values) but able to *leak* the fleet's modes past it. Pin
-    # the entry state and force-restore once every thread is joined.
-    prev_reference = engine.REFERENCE_MODE
-    prev_model_reference = modelmode.REFERENCE_MODE
     try:
         while True:
             if coord.wait(0.05):

@@ -53,6 +53,12 @@ from repro.wire import ProtocolError, recv_msg, send_msg
 
 __all__ = ["FleetWorker"]
 
+#: ``_run_point_task`` sets the process-global engine/model reference
+#: flags for one point and restores them after it. Workers running as
+#: threads of one process (the chaos harness) must not interleave those
+#: windows: one worker's restore would switch another's mode mid-point.
+_POINT_LOCK = threading.Lock()
+
 logger = logging.getLogger("repro.fleet.worker")
 
 
@@ -292,10 +298,11 @@ class FleetWorker:
             if hit is not None:
                 self.report["cache_hits"] += 1
                 return hit, 0.0
-        _, values, elapsed, _ = _run_point_task((
-            self._sc.name, index, cfg,
-            self._reference, self._model_reference, False,
-        ))
+        with _POINT_LOCK:
+            _, values, elapsed, _ = _run_point_task((
+                self._sc.name, index, cfg,
+                self._reference, self._model_reference, False,
+            ))
         if self.point_cache is not None:
             self.point_cache.store(self._sc.name, key, values)
         return values, elapsed

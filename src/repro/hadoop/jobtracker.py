@@ -15,7 +15,7 @@ floor — the mechanism behind the 10x-samples curve in Fig. 8 "stop[ping]
 scaling its performance when increasing the number of TaskTrackers".
 
 Task *placement* is delegated to a pluggable policy from
-:mod:`repro.sched`: per heartbeat the active
+:mod:`repro.sched`: per heartbeat that could earn work, the active
 :class:`~repro.sched.base.Scheduler` sees a read-only
 :class:`~repro.sched.view.ClusterView` and returns the full batch of
 :class:`~repro.sched.base.TaskChoice` decisions for that exchange in
@@ -28,6 +28,7 @@ pre-refactor inline logic decision for decision.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional, Union
 
@@ -51,7 +52,6 @@ from repro.sched.base import (
     resolve_scheduler,
 )
 from repro.sched.view import ClusterView
-from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Cluster
@@ -59,6 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hdfs.client import HDFSClient
 
 __all__ = ["JobTracker"]
+
+#: The reply to every exchange that launches and kills nothing (frozen,
+#: so one instance serves every tracker).
+_EMPTY_REPLY = AssignmentReply()
 
 
 class _MapOutputRegistry(dict):
@@ -103,6 +107,27 @@ class _MapOutputRegistry(dict):
         return super().pop(key, *default)
 
 
+class _Inbox:
+    """The JobTracker's RPC queue of ``(message, reply_box)`` pairs.
+
+    ``put`` is the producers' whole interface: an idle JobTracker starts
+    serving the message at once, a busy one queues it behind the
+    message in service (see :meth:`JobTracker._serve`).
+    """
+
+    __slots__ = ("items", "_jt")
+
+    def __init__(self, jt: "JobTracker") -> None:
+        self.items: deque = deque()
+        self._jt = jt
+
+    def put(self, item: tuple) -> None:
+        if self._jt._in_service is None:
+            self._jt._serve(item)
+        else:
+            self.items.append(item)
+
+
 class JobTracker:
     """Cluster-level task coordinator bound to the master blade."""
 
@@ -118,7 +143,11 @@ class JobTracker:
         self.calib = cluster.calib
         self.rng = cluster.rng
         self.tracer = cluster.tracer
-        self.inbox = Store(self.env)
+        self.inbox = _Inbox(self)
+        #: The ``(message, reply_box)`` whose service slice is running;
+        #: None while the JobTracker is idle.
+        self._in_service: Optional[tuple] = None
+        self._service_s = self.calib.jobtracker_service_s
         self.map_outputs: _MapOutputRegistry = _MapOutputRegistry()
         self.cluster_nodes = {n.node_id: n for n in cluster.nodes}
         self.scheduler: Scheduler = resolve_scheduler(scheduler)
@@ -152,6 +181,11 @@ class JobTracker:
         self._membership_epoch = 0
         self._jobs_epoch = 0
         self._queue_epochs: dict[int, int] = {}
+        #: Bumped with every per-job queue epoch: together with
+        #: ``_jobs_epoch`` it keys the :meth:`has_demand` memo.
+        self._queue_version = 0
+        self._demand_key: tuple[int, int] = (-1, -1)
+        self._demand = False
         #: Jobs whose pending-map queue may have left ascending task-id
         #: order. ``_setup_job`` seeds the queue sorted and assignment
         #: removals preserve relative order; only a failure/loss requeue
@@ -168,10 +202,11 @@ class JobTracker:
             "kills_issued": 0,
             "preemptions": 0,
         }
-        #: Heartbeats served per main-loop pass → pass count. Batch
-        #: sizes above 1 mean several exchanges landed on the same
-        #: (saturated) service instant and were drained in one wake.
+        #: Heartbeats served per service pass → pass count. Batch sizes
+        #: above 1 mean several exchanges queued behind one another in
+        #: one busy period of the (saturated) JobTracker.
         self._batch_hist: dict[int, int] = {}
+        self._pass_heartbeats = 0
         #: Open job spans for the trace exporter (enabled tracers only).
         self._job_spans: dict[int, Any] = {}
         self._view = ClusterView(self)
@@ -208,9 +243,19 @@ class JobTracker:
         idle trackers keep the fixed cadence instead of parking and
         waking moments later); a RUNNING job demands slots while it has
         pending tasks, or while speculation could still duplicate one of
-        its running maps. Job counts are small (one dict scan), so this
-        stays cheap on the per-heartbeat path.
+        its running maps. The answer is memoized on ``(_jobs_epoch,
+        _queue_version)``: every job-state change bumps the first, every
+        pending-queue change (including the ``maps_all_done`` flips,
+        which unlock or requeue work) bumps the second.
         """
+        key = (self._jobs_epoch, self._queue_version)
+        if key != self._demand_key:
+            self._demand_key = key
+            self._demand = self._scan_demand()
+        return self._demand
+
+    def _scan_demand(self) -> bool:
+        """The unmemoized :meth:`has_demand`: one scan over the jobs."""
         for job_id, job in self._jobs.items():
             state = job.state
             if state is JobState.PREP:
@@ -237,6 +282,7 @@ class JobTracker:
     def _bump_queue(self, job_id: int) -> None:
         """Invalidate the view's cached pending-queue snapshot."""
         self._queue_epochs[job_id] = self._queue_epochs.get(job_id, 0) + 1
+        self._queue_version += 1
 
     # -- decision counters ---------------------------------------------------------
     def decision_counters(self) -> dict[str, object]:
@@ -276,11 +322,10 @@ class JobTracker:
 
     # -- lifecycle ----------------------------------------------------------------
     def start(self) -> None:
-        """Start the scheduler and failure-monitor processes."""
+        """Start the failure-monitor process (the inbox needs none)."""
         if self._started:
             return
         self._started = True
-        self.env.process(self._main_loop(), name="jobtracker")
         self.env.process(self._failure_monitor(), name="jt-monitor")
 
     # -- submission ----------------------------------------------------------------
@@ -337,61 +382,69 @@ class JobTracker:
                 maps=len(job.maps), reduces=len(job.reduces),
             )
 
-    # -- main service loop ------------------------------------------------------------
-    def _main_loop(self) -> Generator:
-        """Serve the inbox in batched passes.
+    # -- service ------------------------------------------------------------------
+    def _serve(self, item: tuple) -> None:
+        """Start one message's serialized service slice.
 
-        One ``get()`` wake opens a service pass that drains every message
-        already queued (plus any that arrive while the pass is mid-
-        service — exactly the messages the old get-per-message loop
-        would have found queued). Each message still pays its own
-        serialized ``jobtracker_service_s`` and is handled in arrival
-        order, so the pass is byte-identical to the one-at-a-time loop:
-        an immediately-satisfiable ``get()`` was already born-processed
-        (no heap trip), making the drain a pure Python-overhead saving.
-        The per-pass heartbeat count feeds the batch-size histogram
+        Every RPC the JobTracker handles costs ``jobtracker_service_s``
+        of its time; the message is handled when its slice ends
+        (:meth:`_served`), so no process has to wake to fetch it.
+        """
+        self._in_service = item
+        self.env.pooled_timeout(self._service_s).callbacks.append(self._served)
+
+    def _served(self, _event) -> None:
+        """Handle the message whose slice just ended, then start the
+        next queued one.
+
+        Messages are handled in arrival order, each after its own slice,
+        exactly as a process taking one message per ``get()`` would. A
+        *pass* is one busy period: it opens when a message reaches an
+        idle JobTracker and closes when the queue is empty after a
+        message; its heartbeat count feeds the batch-size histogram
         surfaced through :meth:`decision_counters`.
         """
-        inbox_items = self.inbox.items
-        service_s = self.calib.jobtracker_service_s
-        batch_hist = self._batch_hist
-        while True:
-            msg, reply_box = yield self.inbox.get()
-            heartbeats = 0
-            while True:
-                # Serialized service time for every RPC the JobTracker
-                # handles.
-                yield self.env.pooled_timeout(service_s)
-                if isinstance(msg, Heartbeat):
-                    reply = self._handle_heartbeat(msg)
-                    yield reply_box.put(reply)
-                    heartbeats += 1
-                elif isinstance(msg, TaskDone):
-                    self._handle_done(msg)
-                elif isinstance(msg, TaskFailed):
-                    self._handle_failed(msg)
-                else:  # pragma: no cover - defensive
-                    raise TypeError(f"unknown message {msg!r}")
-                if not inbox_items:
-                    break
-                msg, reply_box = inbox_items.popleft()
-            if heartbeats:
-                batch_hist[heartbeats] = batch_hist.get(heartbeats, 0) + 1
+        msg, reply_box = self._in_service
+        if isinstance(msg, Heartbeat):
+            reply_box.put(self._handle_heartbeat(msg))
+            self._pass_heartbeats += 1
+        elif isinstance(msg, TaskDone):
+            self._handle_done(msg)
+        elif isinstance(msg, TaskFailed):
+            self._handle_failed(msg)
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"unknown message {msg!r}")
+        items = self.inbox.items
+        if items:
+            self._serve(items.popleft())
+            return
+        self._in_service = None
+        heartbeats = self._pass_heartbeats
+        if heartbeats:
+            self._pass_heartbeats = 0
+            self._batch_hist[heartbeats] = self._batch_hist.get(heartbeats, 0) + 1
 
     # -- heartbeat handling ------------------------------------------------------------
     def _handle_heartbeat(self, hb: Heartbeat) -> AssignmentReply:
         """One exchange: the policy decides the whole batch, we apply it.
 
-        The active :class:`~repro.sched.base.Scheduler` gets exactly one
+        The active :class:`~repro.sched.base.Scheduler` gets at most one
         ``assign`` call per heartbeat and returns every launch for this
         tracker's free slots at once — the batched-reply protocol. The
         apply step below owns all mutation and double-checks the policy
         against the queues (a bad choice is a policy bug, reported as
         :class:`~repro.sched.base.SchedulerError`, never silent state
         corruption).
+
+        An exchange that can earn nothing — no demand anywhere and no
+        kill queued for this tracker — skips ``assign`` and gets the
+        shared empty reply: every policy returns ``[]`` there and keeps
+        its decision tallies (the contract in ``docs/SCHEDULING.md``).
         """
         self._last_seen[hb.tracker_id] = self.env.now
         self._decisions["heartbeats"] += 1
+        if hb.tracker_id not in self._kill_queue and not self.has_demand():
+            return _EMPTY_REPLY
         choices = self.scheduler.assign(self._view, hb)
         preempts: Optional[list[PreemptChoice]] = None
         if any(type(c) is PreemptChoice for c in choices):
@@ -419,6 +472,8 @@ class JobTracker:
         # reply. Nothing between the old pop site and here reads the
         # queue, so non-preempting policies are unaffected.
         kills = tuple(self._kill_queue.pop(hb.tracker_id, ()))
+        if not assignments and not kills:
+            return _EMPTY_REPLY
         return AssignmentReply(assignments=assignments, kills=kills)
 
     def _apply_preempt(self, choice: PreemptChoice) -> None:

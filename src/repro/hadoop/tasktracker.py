@@ -17,7 +17,6 @@ import repro.obs as obs
 from repro.hadoop.job import TaskKind
 from repro.hadoop.messages import (
     Assignment,
-    AssignmentReply,
     Heartbeat,
     KillDirective,
     TaskDone,
@@ -32,12 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hadoop.jobtracker import JobTracker
 
 __all__ = ["TaskTracker"]
-
-
-def _is_assignment_reply(msg) -> bool:
-    """Mailbox filter for heartbeat replies (module-level: the heartbeat
-    loop runs thousands of rounds, so no per-round closure)."""
-    return isinstance(msg, AssignmentReply)
 
 
 class TaskTracker:
@@ -71,6 +64,9 @@ class TaskTracker:
         self._used_reduce_slots = 0
         self._slot_in_use: list[bool] = [False] * self.map_slots
         self._proc: Optional[Process] = None
+        #: One Heartbeat per (free map, free reduce) pair: the message is
+        #: frozen, so each exchange reuses the one carrying its counts.
+        self._heartbeats: dict[tuple[int, int], Heartbeat] = {}
         # Event-thin heartbeat state (see repro.modelmode): a dirty flag
         # forces the next heartbeat out even when nothing else would;
         # while parked, the loop waits for a poke or the keepalive
@@ -186,19 +182,10 @@ class TaskTracker:
             return True
         return not self.jt.has_demand()
 
-    def _interruptible_sleep(self, duration: float, kind: str) -> Generator:
-        """Sleep that a :meth:`poke` may cut short (event-thin mode)."""
-        self._wait_kind = kind
-        try:
-            yield self.env.timeout(duration)
-        except Interrupt:
-            pass
-        finally:
-            self._wait_kind = None
-
     def _heartbeat_loop(self) -> Generator:
         jitter_rng = self.jt.rng.stream(f"tt-jitter-{self.tracker_id}")
         interval = self.calib.heartbeat_interval_s
+        heartbeats = self._heartbeats
         # Desynchronize tracker phases like real daemon start-up does.
         yield self.env.pooled_timeout(float(jitter_rng.uniform(0, interval)))
         while self.alive:
@@ -215,18 +202,25 @@ class TaskTracker:
                 wait = self._next_keepalive - self.env.now
                 if wait > 0:
                     self.heartbeat_parks += 1
-                    yield from self._interruptible_sleep(wait, "parked")
+                    # A sleep that a poke may cut short (see poke()).
+                    self._wait_kind = "parked"
+                    try:
+                        yield self.env.timeout(wait)
+                    except Interrupt:
+                        pass
+                    self._wait_kind = None
                     continue  # re-evaluate with fresh state
-            hb = Heartbeat(
-                tracker_id=self.tracker_id,
-                free_map_slots=self.free_map_slots,
-                free_reduce_slots=self.free_reduce_slots,
-            )
+            free = (self.free_map_slots, self.free_reduce_slots)
+            hb = heartbeats.get(free)
+            if hb is None:
+                hb = heartbeats[free] = Heartbeat(self.tracker_id, *free)
             self._dirty = False
             self._next_keepalive = self.env.now + self._keepalive_s
             sent_at = self.env.now
-            yield self.jt.inbox.put((hb, self.mailbox))
-            reply = yield self.mailbox.get(_is_assignment_reply)
+            self.jt.inbox.put((hb, self.mailbox))
+            # Only heartbeat replies land here: the JobTracker never
+            # answers TaskDone/TaskFailed, so no filter is needed.
+            reply = yield self.mailbox.get()
             if self._obs_hb_latency is not None:
                 self._obs_hb_latency.observe(self.env.now - sent_at)
             for kill in reply.kills:
@@ -243,7 +237,12 @@ class TaskTracker:
                 # appears (job arrival, reduces unlocked, requeue) a
                 # free-slotted tracker reports in immediately instead of
                 # waiting out its interval.
-                yield from self._interruptible_sleep(sleep_s, "resting")
+                self._wait_kind = "resting"
+                try:
+                    yield self.env.timeout(sleep_s)
+                except Interrupt:
+                    pass
+                self._wait_kind = None
             else:
                 yield self.env.pooled_timeout(sleep_s)
 
@@ -305,7 +304,7 @@ class TaskTracker:
             else:
                 stats = yield from run_reduce_task(ctx, job, task, slot, self.jt.cluster_nodes)
             if self.alive:
-                yield self.jt.inbox.put(
+                self.jt.inbox.put(
                     (
                         TaskDone(
                             tracker_id=self.tracker_id,
@@ -322,7 +321,7 @@ class TaskTracker:
             pass  # killed: the JobTracker already knows or will time us out
         except Exception as exc:  # noqa: BLE001 - converted to TaskFailed
             if self.alive:
-                yield self.jt.inbox.put(
+                self.jt.inbox.put(
                     (
                         TaskFailed(
                             tracker_id=self.tracker_id,

@@ -37,44 +37,30 @@ def _xtime(a: np.ndarray) -> np.ndarray:
     return (out & 0xFF).astype(np.uint8)
 
 
-def _gf_mul(a: int, b: int) -> int:
-    """Scalar GF(2^8) multiply (table construction only)."""
-    p = 0
-    for _ in range(8):
-        if b & 1:
-            p ^= a
-        hi = a & 0x80
-        a = (a << 1) & 0xFF
-        if hi:
-            a ^= 0x1B
-        b >>= 1
-    return p
-
-
 def _build_sbox() -> tuple[np.ndarray, np.ndarray]:
     """Construct the S-box from first principles: multiplicative inverse
-    in GF(2^8) followed by the affine transform (FIPS-197 §5.1.1)."""
-    # Multiplicative inverses via brute force (runs once at import).
-    inv = [0] * 256
-    for a in range(1, 256):
-        for b in range(1, 256):
-            if _gf_mul(a, b) == 1:
-                inv[a] = b
-                break
+    in GF(2^8) followed by the affine transform (FIPS-197 §5.1.1).
+
+    Inverses come from log/antilog tables over the generator 3: with
+    ``a = 3^k``, ``a^-1 = 3^(255-k)``. Building both tables is one pass
+    over the 255 powers, so the import pays well under a millisecond.
+    """
+    exp = [0] * 255
+    log = [0] * 256
+    x = 1
+    for k in range(255):
+        exp[k] = x
+        log[x] = k
+        # x * 3 = x * 2 ^ x, with x * 2 reduced mod x^8+x^4+x^3+x+1.
+        x ^= (x << 1) ^ (0x11B if x & 0x80 else 0)
     sbox = np.zeros(256, dtype=np.uint8)
     for a in range(256):
-        x = inv[a]
-        y = 0
-        for bit in range(8):
-            y |= (
-                ((x >> bit) & 1)
-                ^ ((x >> ((bit + 4) % 8)) & 1)
-                ^ ((x >> ((bit + 5) % 8)) & 1)
-                ^ ((x >> ((bit + 6) % 8)) & 1)
-                ^ ((x >> ((bit + 7) % 8)) & 1)
-                ^ ((0x63 >> bit) & 1)
-            ) << bit
-        sbox[a] = y
+        x = exp[(255 - log[a]) % 255] if a else 0
+        # b_i ^ b_(i+4) ^ b_(i+5) ^ b_(i+6) ^ b_(i+7) ^ c_i, as rotations.
+        y = x
+        for shift in range(1, 5):
+            y ^= ((x << shift) | (x >> (8 - shift))) & 0xFF
+        sbox[a] = y ^ 0x63
     inv_sbox = np.zeros(256, dtype=np.uint8)
     inv_sbox[sbox] = np.arange(256, dtype=np.uint8)
     return sbox, inv_sbox

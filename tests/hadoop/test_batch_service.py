@@ -1,15 +1,17 @@
-"""Batched heartbeat service: byte-equivalence with the serial loop.
+"""Callback-served heartbeat service: byte-equivalence with the serial loop.
 
-The JobTracker's ``_main_loop`` drains every already-queued message in
-one service pass (one ``get()`` wake per pass). The contract is that a
-pass is *byte-identical* to the pre-batching get-per-message loop: each
+The JobTracker serves its inbox from event callbacks: a message put to
+an idle JobTracker starts its service slice at once, and each slice's
+completion handles the message and starts the next queued one. A
+*pass* is one busy period. The contract is that this server is
+*byte-identical* to the original get-per-message process loop: each
 message still pays its own serialized service time and is handled in
-arrival order, so batching may only shave Python overhead — never move
-a decision. These tests pin that contract by running the same workloads
-under the real batched loop and under a verbatim replica of the old
-serial loop, across both engine modes and both model modes, and by
-property-testing the vectorized kernel cost models against their scalar
-forms bit for bit.
+arrival order, so the server may only shave Python overhead — never
+move a decision. These tests pin that contract by running the same
+workloads under the real server and under a verbatim replica of the
+old serial loop (a process reading a plain ``Store`` inbox), across
+both engine modes and both model modes, and by property-testing the
+vectorized kernel cost models against their scalar forms bit for bit.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.hadoop.messages import Heartbeat, TaskDone, TaskFailed
 from repro.perf.calibration import MB, PAPER_CALIBRATION
 from repro.perf.kernels import KernelPerfModel, RatePerfModel, SamplesPerfModel
 from repro.sim.engine import Environment
+from repro.sim.resources import Store
 
 
 def _serial_main_loop(self):
@@ -47,6 +50,16 @@ def _serial_main_loop(self):
             raise TypeError(f"unknown message {msg!r}")
 
 
+def _serial_start(self):
+    """``JobTracker.start`` with the replica installed: the inbox becomes
+    a plain ``Store`` that the replica process reads, and the real
+    start adds the failure monitor as usual."""
+    self.inbox = Store(self.env)
+    self.env.process(_serial_main_loop(self), name="jobtracker")
+    _REAL_START(self)
+
+
+_REAL_START = JobTracker.start
 _BATCH_ONLY_KEYS = ("heartbeat_batches", "heartbeat_batch_hist")
 
 
@@ -56,10 +69,9 @@ def _run_mix(serial, engine_ref=False, model_ref=False, seed=31, num_jobs=3,
     trace, decision counters)."""
     prev_e = engine.set_reference_mode(engine_ref)
     prev_m = modelmode.set_model_reference(model_ref)
-    orig_loop = JobTracker._main_loop
     try:
         if serial:
-            JobTracker._main_loop = _serial_main_loop
+            JobTracker.start = _serial_start
         mix, sim = run_workload_mix(
             8,
             num_jobs=num_jobs,
@@ -81,7 +93,7 @@ def _run_mix(serial, engine_ref=False, model_ref=False, seed=31, num_jobs=3,
         ]
         return mix.mean_completion_s, trace, sim.jobtracker.decision_counters()
     finally:
-        JobTracker._main_loop = orig_loop
+        JobTracker.start = _REAL_START
         engine.set_reference_mode(prev_e)
         modelmode.set_model_reference(prev_m)
 
@@ -103,7 +115,7 @@ def test_batched_pass_identical_to_serial_loop(engine_ref, model_ref):
     assert b_mean == s_mean
     assert b_trace == s_trace
     assert _without_batch_keys(b_counters) == _without_batch_keys(s_counters)
-    # The serial replica never tallies passes; the real loop must.
+    # The serial replica never tallies passes; the real server must.
     assert s_counters["heartbeat_batches"] == 0
     assert b_counters["heartbeat_batches"] > 0
 

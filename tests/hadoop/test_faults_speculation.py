@@ -137,3 +137,22 @@ def test_speculation_off_no_duplicates():
     result = sim.env.run(job.completion)
     assert result.counters.get("speculative_attempts", 0) == 0
     assert result.state is JobState.SUCCEEDED
+
+
+def test_speculation_kills_reach_trackers_after_demand_ends():
+    """The last map's completion ends all demand and queues kills for
+    the straggler's outrun attempts. A tracker with a queued kill still
+    gets an ``assign`` exchange (only kill-free, demand-free exchanges
+    take the empty fast path), so every kill is delivered."""
+    sim = SimulatedCluster(3, seed=1, slow_nodes={1: 6.0})
+    conf = JobConf(name="spec", workload="pi", backend=Backend.CELL_SPE_DIRECT,
+                   samples=2e9, num_map_tasks=6, num_reduce_tasks=0,
+                   speculative=True)
+    sim.start()
+    job = sim.jobtracker.submit_job(conf)
+    assert sim.env.run(job.completion).succeeded
+    sim.env.run(until=sim.env.now + 60.0)
+    assert not sim.jobtracker.has_demand()
+    assert sim.jobtracker.decision_counters()["kills_issued"] >= 1
+    assert sim.jobtracker._kill_queue == {}
+    assert all(not t._running for t in sim.trackers)

@@ -19,6 +19,56 @@ def test_sbox_known_entries():
     assert SBOX[0xFF] == 0x16
 
 
+def _gf_mul(a: int, b: int) -> int:
+    """Scalar GF(2^8) multiply, shift-and-add."""
+    p = 0
+    for _ in range(8):
+        if b & 1:
+            p ^= a
+        hi = a & 0x80
+        a = (a << 1) & 0xFF
+        if hi:
+            a ^= 0x1B
+        b >>= 1
+    return p
+
+
+def _brute_force_sbox():
+    """The oracle: inverses by exhaustive search, then the affine
+    transform bit by bit (FIPS-197 §5.1.1)."""
+    inv = [0] * 256
+    for a in range(1, 256):
+        for b in range(1, 256):
+            if _gf_mul(a, b) == 1:
+                inv[a] = b
+                break
+    sbox = []
+    for a in range(256):
+        x = inv[a]
+        y = 0
+        for bit in range(8):
+            y |= (
+                ((x >> bit) & 1)
+                ^ ((x >> ((bit + 4) % 8)) & 1)
+                ^ ((x >> ((bit + 5) % 8)) & 1)
+                ^ ((x >> ((bit + 6) % 8)) & 1)
+                ^ ((x >> ((bit + 7) % 8)) & 1)
+                ^ ((0x63 >> bit) & 1)
+            ) << bit
+        sbox.append(y)
+    inv_sbox = [0] * 256
+    for a, y in enumerate(sbox):
+        inv_sbox[y] = a
+    return sbox, inv_sbox
+
+
+def test_sbox_tables_match_brute_force_oracle():
+    sbox, inv_sbox = _brute_force_sbox()
+    assert SBOX.dtype == np.uint8 and INV_SBOX.dtype == np.uint8
+    assert [int(v) for v in SBOX] == sbox
+    assert [int(v) for v in INV_SBOX] == inv_sbox
+
+
 def test_inv_sbox_is_inverse():
     idx = np.arange(256, dtype=np.uint8)
     assert np.array_equal(INV_SBOX[SBOX[idx]], idx)
