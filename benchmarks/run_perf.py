@@ -16,7 +16,8 @@ Runs six suites and records the results in ``BENCH_engine.json``:
    every series value is **byte-identical** between the two modes (the
    determinism contract) and reporting the wall-clock speedup of the
    optimized event loop.
-3. **Model bench** — the cluster-protocol A/B (``repro.modelmode``):
+3. **Model bench** — the cluster-protocol A/B (the run context's
+   ``model_reference``, :mod:`repro.runctx`):
    event-thin heartbeats + analytic task segments vs the pre-overhaul
    fixed-interval model, reporting events-per-simulated-job, cluster-
    scale wall-clock, and the makespan drift the protocol change costs.
@@ -53,6 +54,7 @@ import math
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -61,8 +63,13 @@ for p in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
         sys.path.insert(0, p)
 
 import benchmarks.legacy as legacy  # noqa: E402
-import repro.sim.engine as engine  # noqa: E402
+from repro import runctx  # noqa: E402
 from repro.sim import Environment, Interrupt, PriorityResource, Store  # noqa: E402
+
+
+def _modes(**modes):
+    """Bind the current run context with the given modes replaced."""
+    return runctx.using(replace(runctx.current(), **modes))
 
 # --------------------------------------------------------------------------- #
 # Microbenchmark workloads                                                     #
@@ -366,28 +373,19 @@ def run_fig8(pairs: int, smoke: bool, workers: int = 1) -> tuple[dict, bool]:
     samples = 1e10 if smoke else 1e11
     # Warm up imports/caches outside the timed region (both modes).
     for mode in (True, False):
-        prev = engine.set_reference_mode(mode)
-        try:
+        with _modes(engine_reference=mode):
             _fig8_series((4,), 1e9)
-        finally:
-            engine.set_reference_mode(prev)
     ref_times, fast_times = [], []
     ref_series = fast_series = None
     for _ in range(pairs):
-        prev = engine.set_reference_mode(True)
-        try:
+        with _modes(engine_reference=True):
             t0 = time.perf_counter()
             ref_series = _fig8_series(nodes, samples, workers)
             ref_times.append(time.perf_counter() - t0)
-        finally:
-            engine.set_reference_mode(prev)
-        prev = engine.set_reference_mode(False)
-        try:
+        with _modes(engine_reference=False):
             t0 = time.perf_counter()
             fast_series = _fig8_series(nodes, samples, workers)
             fast_times.append(time.perf_counter() - t0)
-        finally:
-            engine.set_reference_mode(prev)
     # Byte-identity: serialize with full repr precision and compare.
     ref_bytes = json.dumps(ref_series).encode()
     fast_bytes = json.dumps(fast_series).encode()
@@ -468,15 +466,12 @@ def _model_cases(smoke: bool) -> dict:
 def run_model_bench(pairs: int, smoke: bool) -> tuple[dict, bool]:
     """A/B the cluster model layer: reference protocol vs event-thin.
 
-    Both sides run the optimized engine; only ``repro.modelmode``
-    differs. Headline per case: wall-clock speedup and the events-per-
+    Both sides run the optimized engine; only the model mode differs. Headline per case: wall-clock speedup and the events-per-
     simulated-job reduction. The makespan drift is recorded (the
     event-thin protocol intentionally trades exact queue timing at the
     serialized JobTracker for event count) and gated loosely — a large
     drift means a protocol bug, not noise.
     """
-    import repro.modelmode as modelmode
-
     results: dict = {}
     ok = True
     for name, (runner, desc) in _model_cases(smoke).items():
@@ -486,14 +481,11 @@ def run_model_bench(pairs: int, smoke: bool) -> tuple[dict, bool]:
         metric_name = "makespan"
         for _ in range(pairs):
             for reference in (True, False):
-                prev = modelmode.set_model_reference(reference)
-                try:
+                with _modes(model_reference=reference):
                     gc.collect()
                     t0 = time.perf_counter()
                     events, jobs, metric, metric_name = runner()
                     dt = time.perf_counter() - t0
-                finally:
-                    modelmode.set_model_reference(prev)
                 if reference:
                     ref_times.append(dt)
                     ref_events, ref_metric = events, metric
@@ -539,20 +531,15 @@ def run_model_fig8_ab(pairs: int, smoke: bool) -> dict:
     """Fig-8 sweep wall-clock, event-thin vs reference *model* (the
     number the PR-4 acceptance compares against the pre-overhaul
     ``BENCH_engine.json`` fig8 wallclock)."""
-    import repro.modelmode as modelmode
-
     nodes = (4, 8) if smoke else (4, 8, 16, 32, 64)
     samples = 1e10 if smoke else 1e11
     ref_times, thin_times = [], []
     for _ in range(pairs):
         for reference in (True, False):
-            prev = modelmode.set_model_reference(reference)
-            try:
+            with _modes(model_reference=reference):
                 t0 = time.perf_counter()
                 _fig8_series(nodes, samples)
                 dt = time.perf_counter() - t0
-            finally:
-                modelmode.set_model_reference(prev)
             (ref_times if reference else thin_times).append(dt)
     speedup = statistics.median(r / t for r, t in zip(ref_times, thin_times))
     print(
@@ -606,7 +593,6 @@ def run_sweep_bench(pairs: int, smoke: bool) -> tuple[dict, bool]:
     import shutil
     import tempfile
 
-    import repro.modelmode as modelmode
     from repro.experiments import run_sweep
     from repro.experiments.cache import cached_sweep
     from repro.experiments.pool import SweepPool
@@ -701,9 +687,7 @@ def run_sweep_bench(pairs: int, smoke: bool) -> tuple[dict, bool]:
     parity: dict = {}
     for eng_ref in (False, True):
         for mod_ref in (False, True):
-            prev_e = engine.set_reference_mode(eng_ref)
-            prev_m = modelmode.set_model_reference(mod_ref)
-            try:
+            with _modes(engine_reference=eng_ref, model_reference=mod_ref):
                 serial = run_sweep("fig8", overrides, workers=1)
                 with tempfile.TemporaryDirectory() as td:
                     dirs = []
@@ -711,9 +695,6 @@ def run_sweep_bench(pairs: int, smoke: bool) -> tuple[dict, bool]:
                         manifest = run_shard("fig8", i, 4, overrides, workers=1)
                         dirs.append(write_shard(manifest, Path(td) / f"s{i}").parent)
                     merged = merge_shards(dirs)
-            finally:
-                engine.set_reference_mode(prev_e)
-                modelmode.set_model_reference(prev_m)
             label = (f"engine_{'reference' if eng_ref else 'fast'}"
                      f"_model_{'reference' if mod_ref else 'thin'}")
             identical = merged.sha256() == serial.sha256()

@@ -25,7 +25,7 @@ from typing import Callable, Generator, Optional
 
 import numpy as np
 
-import repro.modelmode as modelmode
+from repro import runctx
 from repro.perf.calibration import CalibrationProfile
 from repro.cell.localstore import LocalStoreOverflow
 from repro.cell.processor import CellProcessor
@@ -64,8 +64,8 @@ class OffloadRuntime:
         Offloads with more chunks than this use the analytic path.
     analytic_samples:
         Collapse Monte-Carlo offloads into one composite event (the
-        event-thin model mode). ``None`` samples the
-        :mod:`repro.modelmode` default; cluster runs pass their
+        event-thin model mode). ``None`` reads the bound
+        :mod:`repro.runctx` context; cluster runs pass their
         JobTracker's construction-time flag down instead, so one
         simulation never mixes protocols.
     """
@@ -94,9 +94,9 @@ class OffloadRuntime:
         self._started = False
         #: Event-thin model mode: Monte-Carlo offloads collapse into one
         #: composite event via :meth:`analytic_samples_time` instead of
-        #: spawning one process per SPE. See repro.modelmode.
+        #: spawning one process per SPE. See repro.runctx.
         self.analytic_samples = (
-            (not modelmode.REFERENCE_MODE)
+            (not runctx.current().model_reference)
             if analytic_samples is None
             else bool(analytic_samples)
         )

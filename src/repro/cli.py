@@ -38,9 +38,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro import runctx
 from repro.analysis import (
     Series,
     ascii_chart,
@@ -69,6 +71,7 @@ from repro.perf.calibration import GB, MB
 from repro.core import run_empty_job, run_encryption_job, run_pi_job, run_workload_mix
 from repro.hadoop.faults import ChurnPlan
 from repro.hadoop.metrics import analyze_job
+from repro.obs.metrics import MetricsRegistry
 from repro.sched import resolve_scheduler, scheduler_names
 
 __all__ = ["main", "build_parser"]
@@ -995,18 +998,14 @@ def _point_params(cfg) -> str:
 
 
 def _cmd_trace(args, out) -> int:
-    import repro.obs as obs
     from repro.obs.traceexport import TraceCollector, write_chrome_trace
 
     sc, cfg, code = _resolve_point(args, out)
     if sc is None:
         return code
     collector = TraceCollector()
-    previous = obs.set_trace_collector(collector)
-    try:
+    with runctx.using(replace(runctx.current(), traces=collector)):
         values = dict(sc.run_point(cfg))
-    finally:
-        obs.set_trace_collector(previous)
     trace = write_chrome_trace(args.out, collector=collector)
     print(f"traced {sc.name} point {args.point}: {_point_params(cfg)}", file=out)
     print("values: " + " ".join(f"{k}={v}" for k, v in values.items()), file=out)
@@ -1021,18 +1020,13 @@ def _cmd_trace(args, out) -> int:
 
 
 def _cmd_metrics(args, out) -> int:
-    import repro.obs as obs
-
     sc, cfg, code = _resolve_point(args, out)
     if sc is None:
         return code
-    previous = obs.set_obs(True)
-    obs.reset_registry()
-    try:
+    metrics = MetricsRegistry()
+    with runctx.using(replace(runctx.current(), metrics=metrics)):
         values = dict(sc.run_point(cfg))
-        snapshot = obs.registry().snapshot()
-    finally:
-        obs.set_obs(previous)
+    snapshot = metrics.snapshot()
     print(f"metrics for {sc.name} point {args.point}: {_point_params(cfg)}",
           file=out)
     print("values: " + " ".join(f"{k}={v}" for k, v in values.items()), file=out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import repro.obs as obs
+from repro import runctx
 from repro.perf.calibration import CalibrationProfile, PAPER_CALIBRATION
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
@@ -72,11 +72,11 @@ class Cluster:
         self.calib = calib
         self.network = Network(env, calib)
         self.rng = RandomStreams(spec.seed)
-        # An installed obs trace collector overrides the spec's tracer:
-        # `repro trace` gets spans out of any scenario without plumbing
-        # a flag through every construction path. Recording is passive,
-        # so canonical bytes are unchanged either way.
-        collector = obs.trace_collector()
+        # A trace collector in the run context overrides the spec's
+        # tracer: `repro trace` gets spans out of any scenario without
+        # plumbing a flag through every construction path. Recording is
+        # passive, so canonical bytes are unchanged either way.
+        collector = runctx.current().traces
         if collector is not None:
             self.tracer = collector.tracer(env)
         else:

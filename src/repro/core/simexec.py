@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import repro.obs as obs
+from repro import runctx
 from repro.obs.sampler import attach_sampler, publish_cluster_metrics
 from repro.perf.calibration import Backend, CalibrationProfile, GB, PAPER_CALIBRATION
 from repro.perf.energy import EnergyModel
@@ -99,10 +99,10 @@ class SimulatedCluster:
         self.replication_manager = (
             ReplicationManager(self.namenode) if replication_manager else None
         )
-        # Telemetry: sampled once at construction (reference-mode
-        # discipline). None means every obs branch below is one
-        # `is None` check — the canonical disabled path.
-        self._obs = obs.registry() if obs.enabled() else None
+        # Telemetry: sampled once at construction, like the modes. None
+        # means every obs branch below is one `is None` check — the
+        # canonical disabled path.
+        self._obs = runctx.current().metrics
         self._obs_flushed: dict[str, float] = {}
         self._started = False
 

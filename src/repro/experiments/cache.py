@@ -1,18 +1,19 @@
 """Sweep result caching: whole-sweep entries plus per-point entries.
 
 A sweep is a pure function of its *request*: the scenario definition
-(grid, defaults, curves, seed), the engine mode, the model-protocol
-mode (repro.modelmode), the calibration profile — and the code itself.
-:func:`request_key` hashes the canonical request description plus a
-best-effort code-version marker (the git HEAD commit, read without
-spawning a process), so two invocations that would provably compute
-identical series share one cache entry, while a grid override, another
-seed, the reference engine or reference model, a calibration tweak,
-or a new commit each miss by construction. The one honest gap: edits
-that are not yet committed do not change the key — after hacking on
-model code, clear the cache directory (or commit) before trusting a
-hit. Worker count is deliberately *not* part of the key: the driver's
-determinism contract makes results byte-identical at any parallelism.
+(grid, defaults, curves, seed), the engine and model-protocol modes of
+its run context (:mod:`repro.runctx`), the calibration profile — and
+the code itself. :func:`request_key` hashes the canonical request
+description plus a best-effort code-version marker (the git HEAD
+commit, read without spawning a process), so two invocations that would
+provably compute identical series share one cache entry, while a grid
+override, another seed, the reference engine or reference model, a
+calibration tweak, or a new commit each miss by construction. The one
+honest gap: edits that are not yet committed do not change the key —
+after hacking on model code, clear the cache directory (or commit)
+before trusting a hit. Worker count is deliberately *not* part of the
+key: the driver's determinism contract makes results byte-identical at
+any parallelism.
 
 The same purity holds one level down: **each grid point** is a pure
 function of its fully-bound ``cfg`` (plus modes/calibration/code), so
@@ -60,9 +61,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, TypeVar, Union
 
-import repro.modelmode as modelmode
-import repro.obs as obs
-import repro.sim.engine as engine
+from repro import runctx
 from repro.experiments.driver import SweepResult, run_sweep
 from repro.experiments.pool import SweepPool
 from repro.experiments.registry import get_scenario
@@ -181,16 +180,8 @@ class InflightRegistry:
             return len(self._live)
 
 
-def request_key(
-    scenario: Scenario,
-    reference: Optional[bool] = None,
-    model_reference: Optional[bool] = None,
-) -> str:
+def request_key(scenario: Scenario, ctx: runctx.RunContext) -> str:
     """sha256 over everything that determines a sweep's bytes."""
-    if reference is None:
-        reference = engine.REFERENCE_MODE
-    if model_reference is None:
-        model_reference = modelmode.REFERENCE_MODE
     return _hash_request({
         "format": _FORMAT,
         "code_version": _code_version(),
@@ -200,17 +191,14 @@ def request_key(
         "seed": scenario.seed,
         "x": scenario.x,
         "curves": list(scenario.curves),
-        "reference_engine": bool(reference),
-        "reference_model": bool(model_reference),
+        "reference_engine": ctx.engine_reference,
+        "reference_model": ctx.model_reference,
         "calibration": PAPER_CALIBRATION.to_dict(),
     })
 
 
 def point_key(
-    scenario: Scenario,
-    cfg: Mapping[str, Any],
-    reference: Optional[bool] = None,
-    model_reference: Optional[bool] = None,
+    scenario: Scenario, cfg: Mapping[str, Any], ctx: runctx.RunContext
 ) -> str:
     """sha256 over everything that determines one grid point's values.
 
@@ -219,18 +207,14 @@ def point_key(
     adding or removing neighbors never invalidates a point, which is
     exactly what makes incremental re-sweeps possible.
     """
-    if reference is None:
-        reference = engine.REFERENCE_MODE
-    if model_reference is None:
-        model_reference = modelmode.REFERENCE_MODE
     return _hash_request({
         "format": _POINT_FORMAT,
         "code_version": _code_version(),
         "scenario": scenario.name,
         "cfg": dict(cfg),
         "curves": list(scenario.curves),
-        "reference_engine": bool(reference),
-        "reference_model": bool(model_reference),
+        "reference_engine": ctx.engine_reference,
+        "reference_model": ctx.model_reference,
         "calibration": PAPER_CALIBRATION.to_dict(),
     })
 
@@ -282,17 +266,18 @@ class PointCache:
     def __init__(self, cache_dir: Path):
         self.dir = Path(cache_dir) / "points"
         #: Lifetime lookup tallies (always on — two int bumps). When
-        #: telemetry is enabled at construction they are mirrored into
-        #: the obs registry as counters.
+        #: the run context at construction has a metrics registry they
+        #: are mirrored into it as counters.
         self.hits = 0
         self.misses = 0
+        metrics = runctx.current().metrics
         self._obs_lookups = (
-            obs.registry().counter(
+            metrics.counter(
                 "repro_point_cache_lookups_total",
                 "Point-cache lookups by outcome",
                 labels=("outcome",),
             )
-            if obs.enabled()
+            if metrics is not None
             else None
         )
 
@@ -300,11 +285,10 @@ class PointCache:
         self,
         scenario: Scenario,
         cfg: Mapping[str, Any],
-        reference: Optional[bool] = None,
-        model_reference: Optional[bool] = None,
+        ctx: runctx.RunContext,
     ) -> tuple[str, Optional[dict[str, float]]]:
         """``(key, stored values or None)`` for one bound point."""
-        key = point_key(scenario, cfg, reference, model_reference)
+        key = point_key(scenario, cfg, ctx)
         values = self.get(scenario.name, key)
         if values is not None:
             self.hits += 1
@@ -365,21 +349,13 @@ class TimingStore:
         self._dirty = False
 
     def key(
-        self,
-        scenario: Scenario,
-        cfg: Mapping[str, Any],
-        reference: Optional[bool] = None,
-        model_reference: Optional[bool] = None,
+        self, scenario: Scenario, cfg: Mapping[str, Any], ctx: runctx.RunContext
     ) -> str:
-        if reference is None:
-            reference = engine.REFERENCE_MODE
-        if model_reference is None:
-            model_reference = modelmode.REFERENCE_MODE
         return _hash_request({
             "scenario": scenario.name,
             "cfg": dict(cfg),
-            "reference_engine": bool(reference),
-            "reference_model": bool(model_reference),
+            "reference_engine": ctx.engine_reference,
+            "reference_model": ctx.model_reference,
         })
 
     def _load(self) -> dict[str, float]:
@@ -517,7 +493,7 @@ def cached_sweep(
     sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
     if seed is not None:
         sc = sc.with_overrides(None, seed=seed)
-    key = request_key(sc)
+    key = request_key(sc, runctx.current())
     cached = load_cached(cache_dir, sc, key)
     if cached is not None:
         return cached, True

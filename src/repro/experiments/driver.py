@@ -9,14 +9,16 @@ count, completion order, dispatch order, or caching. That is the
 determinism contract the golden-series tests pin down (see
 ``docs/EXPERIMENTS.md``).
 
-Workers receive only ``(scenario_name, point_index, cfg, reference,
-model_reference, collect_metrics)``: the scenario is re-resolved from
-the registry on the worker side, and the parent's engine/model modes
-are re-applied explicitly so sweeps behave identically under both loops
-and any start method. ``collect_metrics`` additionally flips the
-telemetry layer (:mod:`repro.obs`) on around the point and ships the
-registry snapshot back as a **non-canonical** extra on the point row —
-telemetry never touches canonical bytes.
+A point task is ``(scenario, point_index, cfg, ctx, collect_metrics)``.
+``ctx`` is the sweep's :class:`~repro.runctx.RunContext`; it reaches a
+pool worker with its two modes only. Serial and pooled execution both
+bind it around the point (:func:`_run_point_task`), so sweeps behave
+identically under both loops, any start method, and any number of
+sweeps running side by side in threads. Pool workers re-resolve the
+scenario from the registry by name. ``collect_metrics`` additionally
+runs the point under a fresh metrics registry and ships its snapshot
+back as a **non-canonical** extra on the point row — telemetry never
+touches canonical bytes.
 
 Sweep-scale machinery layered on top (all byte-neutral):
 
@@ -37,16 +39,15 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional, Union
 
-import repro.modelmode as modelmode
-import repro.obs as obs
-import repro.sim.engine as engine
+from repro import runctx
 from repro.analysis.series import Series
 from repro.experiments.pool import SweepPool, shared_pool
 from repro.experiments.registry import get_scenario
 from repro.experiments.scenario import Scenario
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["SweepResult", "build_result", "run_sweep"]
 
@@ -150,42 +151,33 @@ class SweepResult:
 def _execute_point(
     sc_or_name: Union[str, Scenario], cfg: Mapping[str, Any], collect: bool
 ) -> tuple[dict[str, float], float, Optional[dict]]:
-    """Run one grid point, optionally under telemetry collection.
+    """Run one grid point under the bound run context, optionally with
+    telemetry collection.
 
     Returns ``(values, elapsed_s, metrics_snapshot_or_None)``. With
-    ``collect`` the obs switch is flipped on and the registry reset for
-    exactly this point, then restored — byte-transparent either way.
+    ``collect`` the point runs under a fresh metrics registry of its
+    own — byte-transparent either way.
     """
     sc = get_scenario(sc_or_name) if isinstance(sc_or_name, str) else sc_or_name
-    prev_obs = False
+    ctx = runctx.current()
     if collect:
-        prev_obs = obs.set_obs(True)
-        obs.reset_registry()
+        ctx = replace(ctx, metrics=MetricsRegistry())
     t0 = time.perf_counter()
-    try:
+    with runctx.using(ctx):
         values = dict(sc.run_point(cfg))
-        dt = time.perf_counter() - t0
-        snap = obs.registry().snapshot() if collect else None
-        return values, dt, snap
-    finally:
-        if collect:
-            obs.set_obs(prev_obs)
+    dt = time.perf_counter() - t0
+    return values, dt, ctx.metrics.snapshot() if collect else None
 
 
 def _run_point_task(task: tuple) -> tuple[int, dict[str, float], float, Optional[dict]]:
-    """Worker-side: one grid point, resolved by scenario name. Returns
-    ``(index, values, elapsed_s, metrics)`` so the parent can record
-    per-point cost for straggler reporting and (when requested) the
-    point's telemetry snapshot."""
-    name, idx, cfg, reference, model_reference, collect = task
-    prev = engine.set_reference_mode(reference)
-    prev_model = modelmode.set_model_reference(model_reference)
-    try:
-        values, dt, snap = _execute_point(name, cfg, collect)
-        return idx, values, dt, snap
-    finally:
-        engine.set_reference_mode(prev)
-        modelmode.set_model_reference(prev_model)
+    """One point task, in a pool worker or in-process: binds the task's
+    run context around the point. Returns ``(index, values, elapsed_s,
+    metrics)`` so the parent can record per-point cost for straggler
+    reporting and (when requested) the point's telemetry snapshot."""
+    sc_or_name, idx, cfg, ctx, collect = task
+    with runctx.using(ctx):
+        values, dt, snap = _execute_point(sc_or_name, cfg, collect)
+    return idx, values, dt, snap
 
 
 def _order_tasks(tasks: list[tuple], estimate: Callable[[tuple], Optional[float]]) -> list[tuple]:
@@ -213,11 +205,9 @@ def dispatch_tasks(
     otherwise a persistent pool — the one passed in, or a shared pool
     capped at the task count so narrow grids never fork idle workers."""
     if (pool.workers if pool is not None else workers) == 1 or len(tasks) <= 1:
-        def _serial():
-            for _, i, cfg, _, _, collect in tasks:
-                values, dt, snap = _execute_point(sc, cfg, collect)
-                yield i, values, dt, snap
-        return None, _serial()
+        # In-process tasks carry the scenario itself, which need not be
+        # registered.
+        return None, (_run_point_task((sc, *t[1:])) for t in tasks)
     try:
         registered = get_scenario(sc.name)
     except KeyError:
@@ -280,10 +270,7 @@ def run_sweep(
     sc = sc.with_overrides(overrides, seed=seed)
     points = sc.points()
     total = len(points)
-    # Workers re-apply both the parent's engine mode and its model-
-    # protocol mode, so sweeps behave identically under any start method.
-    reference = engine.REFERENCE_MODE
-    model_reference = modelmode.REFERENCE_MODE
+    ctx = runctx.current()
 
     t0 = time.perf_counter()
     results: list[Optional[dict[str, float]]] = [None] * total
@@ -292,25 +279,16 @@ def run_sweep(
     cached = 0
     if point_cache is not None:
         for i, cfg in enumerate(points):
-            cache_keys[i], hit = point_cache.lookup(
-                sc, cfg, reference=reference, model_reference=model_reference
-            )
+            cache_keys[i], hit = point_cache.lookup(sc, cfg, ctx)
             if hit is not None:
                 results[i] = hit
                 cached += 1
 
     pending = [i for i in range(total) if results[i] is None]
-    tasks = [
-        (sc.name, i, points[i], reference, model_reference, collect_metrics)
-        for i in pending
-    ]
+    tasks = [(sc.name, i, points[i], ctx, collect_metrics) for i in pending]
     cost_keys: dict[int, str] = {}
     if timings is not None:
-        cost_keys = {
-            i: timings.key(sc, points[i], reference=reference,
-                           model_reference=model_reference)
-            for i in pending
-        }
+        cost_keys = {i: timings.key(sc, points[i], ctx) for i in pending}
 
     effective_workers = pool.workers if pool is not None else workers
     done = cached

@@ -28,8 +28,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
-import repro.modelmode as modelmode
-import repro.sim.engine as engine
+from repro import runctx
 from repro.experiments.cache import request_key
 from repro.experiments.driver import SweepResult, dispatch_tasks
 from repro.experiments.pool import SweepPool
@@ -102,13 +101,12 @@ def run_shard(
     sc = sc.with_overrides(overrides, seed=seed)
     points = sc.points()
     mine = shard_indices(len(points), index, count)
-    reference = engine.REFERENCE_MODE
-    model_reference = modelmode.REFERENCE_MODE
+    ctx = runctx.current()
 
     t0 = time.perf_counter()
     results: dict[int, dict[str, float]] = {}
     elapsed: dict[int, float] = {}
-    tasks = [(sc.name, j, points[j], reference, model_reference, False) for j in mine]
+    tasks = [(sc.name, j, points[j], ctx, False) for j in mine]
     _, stream = dispatch_tasks(sc, tasks, workers, pool)
     for j, values, dt, _snap in stream:
         results[j] = values
@@ -119,10 +117,10 @@ def run_shard(
         "scenario": sc.name,
         "shard_index": index,
         "shard_count": count,
-        "request_key": request_key(sc, reference, model_reference),
+        "request_key": request_key(sc, ctx),
         "seed": sc.seed,
-        "reference_engine": reference,
-        "reference_model": model_reference,
+        "reference_engine": ctx.engine_reference,
+        "reference_model": ctx.model_reference,
         "grid": {k: list(v) for k, v in sc.grid.items()},
         "defaults": dict(sc.defaults),
         "point_indices": mine,
@@ -235,9 +233,10 @@ def merge_shards(dirs: Sequence[Path]) -> SweepResult:
         defaults=dict(first["defaults"]),
         seed=int(first["seed"]),
     )
-    expected = request_key(
-        sc, first["reference_engine"], first["reference_model"]
-    )
+    expected = request_key(sc, runctx.RunContext(
+        engine_reference=first["reference_engine"],
+        model_reference=first["reference_model"],
+    ))
     if expected != first["request_key"]:
         raise ShardError(
             f"request-key mismatch for {sc.name!r}: the shards were "

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
-import repro.modelmode as modelmode
-import repro.sim.engine as engine
 from repro.experiments.driver import SweepResult
 from repro.fabric.coordinator import FleetCoordinator
 from repro.fabric.protocol import FleetError
@@ -83,8 +81,6 @@ def run_chaos_fleet(
     overrides: Optional[Mapping[str, Any]] = None,
     *,
     seed: Optional[int] = None,
-    reference: Optional[bool] = None,
-    model_reference: Optional[bool] = None,
     journal_path: Optional[Path] = None,
     cache_dir: Optional[Path] = None,
     workers: int = 2,
@@ -102,7 +98,9 @@ def run_chaos_fleet(
     """Run one sweep through a localhost fleet under a failure script.
 
     Starts a TCP coordinator on an OS-assigned port and ``workers``
-    worker threads (``worker_chaos[i]`` scripts worker i). Killed
+    worker threads (``worker_chaos[i]`` scripts worker i). The sweep
+    runs in the modes of the caller's run context: the coordinator
+    reads it and hands the modes to every worker that registers. Killed
     workers are replaced by fresh chaos-free workers when
     ``respawn_killed``; a chaos-crashed coordinator is restarted **on
     the same port with the same journal** (the resume path) up to
@@ -126,9 +124,8 @@ def run_chaos_fleet(
 
     def make_coordinator(port: int, chaos) -> FleetCoordinator:
         return FleetCoordinator(
-            scenario, overrides, seed=seed, port=port,
-            reference=reference, model_reference=model_reference,
-            config=config, journal_path=journal_path, cache_dir=cache_dir,
+            scenario, overrides, seed=seed, port=port, config=config,
+            journal_path=journal_path, cache_dir=cache_dir,
             no_worker_timeout_s=no_worker_timeout_s, linger_s=linger_s,
             chaos=chaos,
         ).start()
@@ -157,13 +154,6 @@ def run_chaos_fleet(
         fleet.workers.append(worker)
         t.start()
 
-    # Worker threads run points in-process, and _run_point_task sets the
-    # process-global reference modes for the length of a point. Pin the
-    # entry state before the first worker starts (it may be mid-point,
-    # modes set, by the time this thread runs again) and force-restore
-    # it once every thread is joined.
-    prev_reference = engine.REFERENCE_MODE
-    prev_model_reference = modelmode.REFERENCE_MODE
     for chaos in schedules:
         spawn(chaos)
 
@@ -206,8 +196,6 @@ def run_chaos_fleet(
         for t in fleet.threads:
             t.join(timeout=10.0)
         leaked = [t.name for t in fleet.threads if t.is_alive()]
-        engine.set_reference_mode(prev_reference)
-        modelmode.set_model_reference(prev_model_reference)
         if leaked and sys.exc_info()[0] is None:
             # Never mask a real failure in flight; but a quiet leak
             # would let worker threads outlive the test that spawned

@@ -33,8 +33,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
-import repro.modelmode as modelmode
-import repro.sim.engine as engine
+from repro import runctx
 from repro.experiments.cache import (
     PointCache,
     load_cached,
@@ -103,8 +102,6 @@ class FleetCoordinator:
         port: Optional[int] = None,
         socket_path: Optional[Path] = None,
         host: str = "127.0.0.1",
-        reference: Optional[bool] = None,
-        model_reference: Optional[bool] = None,
         config: Optional[TrackerConfig] = None,
         journal_path: Optional[Path] = None,
         cache_dir: Optional[Path] = None,
@@ -119,13 +116,10 @@ class FleetCoordinator:
         self.scenario: Scenario = sc.with_overrides(
             dict(overrides) if overrides else None, seed=seed
         )
-        self.reference = (engine.REFERENCE_MODE if reference is None
-                          else bool(reference))
-        self.model_reference = (modelmode.REFERENCE_MODE
-                                if model_reference is None
-                                else bool(model_reference))
-        self.key = request_key(self.scenario, self.reference,
-                               self.model_reference)
+        #: The sweep's modes: the run context bound at construction.
+        #: Workers receive them at registration.
+        self.ctx = runctx.current()
+        self.key = request_key(self.scenario, self.ctx)
         self.points = self.scenario.points()
         self.total = len(self.points)
         self.host = host
@@ -223,9 +217,7 @@ class FleetCoordinator:
             for index, cfg in enumerate(self.points):
                 if self._results[index] is not None:
                     continue
-                _, hit = self.point_cache.lookup(
-                    self.scenario, cfg, reference=self.reference,
-                    model_reference=self.model_reference)
+                _, hit = self.point_cache.lookup(self.scenario, cfg, self.ctx)
                 if hit is not None:
                     self.tracker.prefill(index, hit)
                     self._results[index] = hit
@@ -385,7 +377,7 @@ class FleetCoordinator:
                   worker=msg["worker"], capacity=msg["capacity"])
         return protocol.registered_reply(
             msg["worker"], self.scenario, self.key,
-            self.reference, self.model_reference, self.total,
+            self.ctx.engine_reference, self.ctx.model_reference, self.total,
         )
 
     def _frame_heartbeat(self, msg: dict[str, Any]) -> dict[str, Any]:
@@ -504,9 +496,7 @@ class FleetCoordinator:
         if self.point_cache is not None:
             for index in self.tracker.accepted:
                 key, hit = self.point_cache.lookup(
-                    self.scenario, self.points[index],
-                    reference=self.reference,
-                    model_reference=self.model_reference)
+                    self.scenario, self.points[index], self.ctx)
                 if hit is None:
                     self.point_cache.store(self.scenario.name, key,
                                            self._results[index])

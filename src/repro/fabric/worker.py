@@ -2,10 +2,11 @@
 
 A worker is a deliberately thin client around the repo's existing
 point machinery: every leased point runs through the same
-``_run_point_task`` the multiprocessing pool uses, with the
-coordinator's engine/model reference modes applied around it — so the
-values a worker produces are bit-identical to a serial sweep on the
-same code.
+``_run_point_task`` the multiprocessing pool uses, under a run context
+holding the coordinator's engine/model reference modes — so the values
+a worker produces are bit-identical to a serial sweep on the same
+code. The context is bound in the worker's own thread only, so workers
+running as threads of one process execute points concurrently.
 
 The loop is strict request/reply over one persistent connection:
 
@@ -41,6 +42,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+from repro import runctx
 from repro.experiments.cache import PointCache, request_key
 from repro.experiments.driver import _run_point_task
 from repro.experiments.registry import get_scenario
@@ -52,12 +54,6 @@ from repro.serve.logs import log_event
 from repro.wire import ProtocolError, recv_msg, send_msg
 
 __all__ = ["FleetWorker"]
-
-#: ``_run_point_task`` sets the process-global engine/model reference
-#: flags for one point and restores them after it. Workers running as
-#: threads of one process (the chaos harness) must not interleave those
-#: windows: one worker's restore would switch another's mode mid-point.
-_POINT_LOCK = threading.Lock()
 
 logger = logging.getLogger("repro.fleet.worker")
 
@@ -115,8 +111,7 @@ class FleetWorker:
         self._rng = rng
         self.point_cache = PointCache(Path(cache_dir)) if cache_dir else None
         self._sc: Optional[Scenario] = None
-        self._reference = False
-        self._model_reference = False
+        self._ctx = runctx.RunContext()
         self._key: Optional[str] = None
         self._silences_done: set[int] = set()
         self._stop = threading.Event()
@@ -234,8 +229,9 @@ class FleetWorker:
             raise ProtocolError(
                 f"expected 'registered' reply, got {reply.get('type')!r}")
         spec = reply["scenario"]
-        self._reference = bool(reply["reference"])
-        self._model_reference = bool(reply["model_reference"])
+        self._ctx = runctx.RunContext(
+            engine_reference=bool(reply["reference"]),
+            model_reference=bool(reply["model_reference"]))
         try:
             base = get_scenario(spec["name"])
             self._sc = base.with_overrides(
@@ -246,8 +242,7 @@ class FleetWorker:
                 f"{spec.get('name')!r} from the coordinator's spec "
                 f"({exc}); worker code is too old for this sweep"
             ) from exc
-        self._key = request_key(self._sc, self._reference,
-                                self._model_reference)
+        self._key = request_key(self._sc, self._ctx)
         if self._key != reply["request_key"]:
             raise FleetError(
                 f"worker {self.name}: request key mismatch — coordinator "
@@ -292,17 +287,12 @@ class FleetWorker:
     ) -> tuple[dict[str, float], float]:
         assert self._sc is not None
         if self.point_cache is not None:
-            key, hit = self.point_cache.lookup(
-                self._sc, cfg, reference=self._reference,
-                model_reference=self._model_reference)
+            key, hit = self.point_cache.lookup(self._sc, cfg, self._ctx)
             if hit is not None:
                 self.report["cache_hits"] += 1
                 return hit, 0.0
-        with _POINT_LOCK:
-            _, values, elapsed, _ = _run_point_task((
-                self._sc.name, index, cfg,
-                self._reference, self._model_reference, False,
-            ))
+        _, values, elapsed, _ = _run_point_task(
+            (self._sc.name, index, cfg, self._ctx, False))
         if self.point_cache is not None:
             self.point_cache.store(self._sc.name, key, values)
         return values, elapsed

@@ -32,7 +32,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional, Union
 
-import repro.modelmode as modelmode
+from repro import runctx
 from repro.hadoop.config import JobConf
 from repro.hadoop.job import Job, JobState, TaskKind, TaskRecord
 from repro.hadoop.messages import (
@@ -169,8 +169,8 @@ class JobTracker:
         self._kill_queue: dict[int, list[KillDirective]] = {}
         self._next_job_id = 0
         self._started = False
-        #: Event-thin protocol (sampled once; see repro.modelmode).
-        self.event_thin: bool = not modelmode.REFERENCE_MODE
+        #: Event-thin protocol (sampled once; see repro.runctx).
+        self.event_thin: bool = not runctx.current().model_reference
         #: Lazy expiry heap for dead-tracker detection: one
         #: ``(last_seen + timeout, tracker_id)`` entry per live tracker,
         #: re-armed on pop when the stored deadline turned out stale.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-import repro.modelmode as modelmode
+from repro import runctx
 from repro.perf.calibration import Backend, CalibrationProfile
 from repro.cell.runtime import CellMapReduceRuntime, DirectSPERuntime, OffloadRuntime
 
@@ -59,10 +59,11 @@ class MapKernel:
         self._runtime: Optional[OffloadRuntime] = None
         # Model-protocol mode. A cluster-run kernel receives the
         # JobTracker's construction-time flag through the TaskContext,
-        # so one simulation can never mix protocols even if the
-        # repro.modelmode default flips mid-run; standalone construction
-        # (raw single-node benches, unit tests) samples the default.
-        self._thin = (not modelmode.REFERENCE_MODE) if event_thin is None else event_thin
+        # so one simulation never mixes protocols; standalone
+        # construction (raw single-node benches, unit tests) reads the
+        # bound run context.
+        self._thin = (not runctx.current().model_reference
+                      if event_thin is None else event_thin)
         self.kernel_busy_s = 0.0
 
         if backend in (Backend.CELL_SPE_DIRECT, Backend.CELL_SPE_MAPREDUCE):

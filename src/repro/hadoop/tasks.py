@@ -61,9 +61,9 @@ class TaskContext:
     """Shared registry: (job_id, map_task_id) → :class:`MapOutput`."""
     event_thin: Optional[bool] = None
     """The cluster's model-protocol mode (JobTracker-bound), threaded to
-    kernels so a mid-run flip of the repro.modelmode default can never
-    mix protocols inside one simulation. None falls back to the global
-    default (engine-free unit-test / raw-bench construction)."""
+    kernels so one simulation never mixes protocols. None falls back to
+    the bound run context (engine-free unit-test / raw-bench
+    construction)."""
 
 
 def _map_output_bytes(conf: JobConf, input_bytes: float) -> float:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-import repro.modelmode as modelmode
-import repro.obs as obs
+from repro import runctx
 from repro.hadoop.job import TaskKind
 from repro.hadoop.messages import (
     Assignment,
@@ -31,6 +30,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hadoop.jobtracker import JobTracker
 
 __all__ = ["TaskTracker"]
+
+#: Parked trackers still report in every ``heartbeat_timeout_s *
+#: KEEPALIVE_FACTOR`` seconds. The keepalive serves two contracts: the
+#: JobTracker's silence-based failure detector keeps working unchanged
+#: (a live tracker is never silent for anywhere near the timeout), and
+#: it is the starvation safety net — even if a demand poke were ever
+#: missed, a parked tracker re-offers its free slots within one
+#: keepalive period.
+KEEPALIVE_FACTOR = 0.5
 
 
 class TaskTracker:
@@ -67,7 +75,7 @@ class TaskTracker:
         #: One Heartbeat per (free map, free reduce) pair: the message is
         #: frozen, so each exchange reuses the one carrying its counts.
         self._heartbeats: dict[tuple[int, int], Heartbeat] = {}
-        # Event-thin heartbeat state (see repro.modelmode): a dirty flag
+        # Event-thin heartbeat state (see repro.runctx): a dirty flag
         # forces the next heartbeat out even when nothing else would;
         # while parked, the loop waits for a poke or the keepalive
         # deadline instead of emitting work-less fixed-interval rounds.
@@ -76,17 +84,18 @@ class TaskTracker:
         self._wait_kind: Optional[str] = None  # None | "parked" | "resting"
         self._rejitter = False
         self._next_keepalive = 0.0
-        self._keepalive_s = self.calib.heartbeat_timeout_s * modelmode.KEEPALIVE_FACTOR
+        self._keepalive_s = self.calib.heartbeat_timeout_s * KEEPALIVE_FACTOR
         self.heartbeat_parks = 0
         """Work-less heartbeat rounds replaced by a park (diagnostics)."""
         # Telemetry handle, pre-sampled at construction: None keeps the
         # exchange loop at a single `is None` test per heartbeat.
+        metrics = runctx.current().metrics
         self._obs_hb_latency = (
-            obs.registry().histogram(
+            metrics.histogram(
                 "sim_heartbeat_service_latency_seconds",
                 "Virtual time from heartbeat send to assignment reply",
             )
-            if obs.enabled()
+            if metrics is not None
             else None
         )
         jobtracker.register_tracker(self)

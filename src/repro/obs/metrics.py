@@ -1,4 +1,4 @@
-"""Metric primitives and the process-wide registry.
+"""Metric primitives and the registry that holds them.
 
 Four instrument kinds, deliberately small:
 

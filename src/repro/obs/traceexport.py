@@ -1,12 +1,12 @@
 """Chrome-trace / Perfetto JSON export for simulation tracers.
 
 :class:`TraceCollector` is the bridge between a scenario run and the
-exporter: install one via :func:`repro.obs.set_trace_collector` and
-every cluster built afterwards records into an enabled, ring-capped
-:class:`~repro.sim.trace.Tracer` the collector owns. After the run,
-:func:`write_chrome_trace` serialises all collected tracers into the
-Trace Event Format both ``chrome://tracing`` and https://ui.perfetto.dev
-load directly.
+exporter: bind it as the ``traces`` of a :class:`repro.runctx.RunContext`
+and every cluster built under that context records into an enabled,
+ring-capped :class:`~repro.sim.trace.Tracer` the collector owns. After
+the run, :func:`write_chrome_trace` serialises all collected tracers
+into the Trace Event Format both ``chrome://tracing`` and
+https://ui.perfetto.dev load directly.
 
 Mapping:
 

@@ -1,9 +1,9 @@
 """The daemon's job table: admission, coalescing, lifecycle, fan-out.
 
 A :class:`Job` is one admitted computation — a bound scenario plus the
-engine/model modes it will run under, identified by the canonical
-:func:`~repro.experiments.cache.request_key`. The :class:`JobTable`
-admits requests through an
+run context (engine/model modes) it will run under, identified by the
+canonical :func:`~repro.experiments.cache.request_key`. The
+:class:`JobTable` admits requests through an
 :class:`~repro.experiments.cache.InflightRegistry`: a submit whose key
 matches a live (queued or running) job **attaches** to it instead of
 creating a new one, which is the request-coalescing guarantee — K
@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 from queue import SimpleQueue
 from typing import Any, Callable, Mapping, Optional
 
-import repro.modelmode as modelmode
-import repro.sim.engine as engine
+from repro import runctx
 from repro.experiments.cache import InflightRegistry, request_key
 from repro.experiments.registry import get_scenario
 from repro.experiments.scenario import Scenario
@@ -67,8 +66,8 @@ class JobRequest:
     """One submit, as data: scenario name, overrides, seed, modes.
 
     ``reference_engine``/``reference_model`` of None mean "whatever mode
-    the daemon process is in" — resolved once at admission so the job's
-    request key is stable even if the daemon's modes were to change.
+    the admitting thread's run context is in" — resolved once at
+    admission, so the job's request key is fixed from then on.
     """
 
     scenario: str
@@ -84,12 +83,15 @@ class JobRequest:
             dict(self.overrides) or None, seed=self.seed
         )
 
-    def modes(self) -> tuple[bool, bool]:
-        ref = (engine.REFERENCE_MODE if self.reference_engine is None
-               else self.reference_engine)
-        mref = (modelmode.REFERENCE_MODE if self.reference_model is None
-                else self.reference_model)
-        return bool(ref), bool(mref)
+    def context(self) -> runctx.RunContext:
+        """The run context the job executes under."""
+        base = runctx.current()
+        return runctx.RunContext(
+            engine_reference=(base.engine_reference if self.reference_engine is None
+                              else bool(self.reference_engine)),
+            model_reference=(base.model_reference if self.reference_model is None
+                             else bool(self.reference_model)),
+        )
 
 
 class Job:
@@ -100,14 +102,15 @@ class Job:
         job_id: str,
         request: JobRequest,
         scenario: Scenario,
+        ctx: runctx.RunContext,
         key: str,
         clock: Callable[[], float],
     ):
         self.id = job_id
         self.request = request
         self.scenario = scenario
+        self.ctx = ctx
         self.key = key
-        self.reference_engine, self.reference_model = request.modes()
         self.state = QUEUED
         self.total = len(scenario.points())
         self.done = 0
@@ -326,13 +329,14 @@ class JobTable:
         admission rejects what execution could never run.
         """
         sc = request.bind()
-        ref, mref = request.modes()
-        key = request_key(sc, ref, mref)
+        ctx = request.context()
+        key = request_key(sc, ctx)
 
         def factory() -> Job:
             with self._lock:
                 self._seq += 1
-                job = Job(f"job-{self._seq:06d}", request, sc, key, self._clock)
+                job = Job(f"job-{self._seq:06d}", request, sc, ctx, key,
+                          self._clock)
                 self._jobs[job.id] = job
                 return job
 

@@ -455,7 +455,6 @@ class ReproServer:
 
     def _run_job(self, job: Job) -> None:
         sc = job.scenario
-        ref, mref = job.reference_engine, job.reference_model
         if self.cache_dir is not None:
             cached = load_cached(self.cache_dir, sc, job.key)
             if cached is not None:
@@ -481,23 +480,18 @@ class ReproServer:
         cached_n = 0
         if self.point_cache is not None:
             for i, cfg in enumerate(points):
-                cache_keys[i], hit = self.point_cache.lookup(
-                    sc, cfg, reference=ref, model_reference=mref
-                )
+                cache_keys[i], hit = self.point_cache.lookup(sc, cfg, job.ctx)
                 if hit is not None:
                     results[i] = hit
                     cached_n += 1
             job.note_cached(cached_n)
 
         pending = [i for i in range(total) if results[i] is None]
-        tasks = [(sc.name, i, points[i], ref, mref, False) for i in pending]
+        tasks = [(sc.name, i, points[i], job.ctx, False) for i in pending]
         cost_keys: dict[int, str] = {}
         if self.timings is not None:
-            cost_keys = {
-                i: self.timings.key(sc, points[i], reference=ref,
-                                    model_reference=mref)
-                for i in pending
-            }
+            cost_keys = {i: self.timings.key(sc, points[i], job.ctx)
+                         for i in pending}
             tasks = _order_tasks(
                 tasks, lambda t: self.timings.estimate(cost_keys[t[1]])
             )

@@ -17,7 +17,8 @@ Engine internals (see ``docs/PERFORMANCE.md`` for the full contract):
 - :meth:`composite_timeout` collapses a deterministic chain of pure
   delays into one event; :meth:`schedule_many` batch-pushes events and
   backs :meth:`start_processes`.
-- Reference mode (``reference=True``, :func:`set_reference_mode`, or
+- Reference mode (``reference=True``, a bound
+  :class:`~repro.runctx.RunContext` with ``engine_reference``, or
   ``REPRO_SIM_REFERENCE=1``) runs the pre-overhaul ``step()``-per-event
   loop without pooling or fast dispatch. Both modes must produce
   identical ``(time, priority, seq, event-class)`` traces — the
@@ -26,11 +27,11 @@ Engine internals (see ``docs/PERFORMANCE.md`` for the full contract):
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from types import MethodType
 from typing import Any, Generator, Iterable, Optional
 
+from repro import runctx
 from repro.sim.events import (
     AllOf,
     AnyOf,
@@ -42,27 +43,11 @@ from repro.sim.events import (
     Timeout,
 )
 
-__all__ = ["Environment", "SimulationError", "set_reference_mode"]
-
-#: Default engine mode for new Environments. True selects the reference
-#: (pre-overhaul) loop; settable via the REPRO_SIM_REFERENCE env var or
-#: :func:`set_reference_mode`.
-REFERENCE_MODE = os.environ.get("REPRO_SIM_REFERENCE", "0") not in ("", "0")
+__all__ = ["Environment", "SimulationError"]
 
 #: Upper bound on the Timeout free-list, to keep memory bounded when a
 #: burst of concurrent timeouts drains at once.
 _TIMEOUT_POOL_MAX = 1024
-
-
-def set_reference_mode(enabled: bool) -> bool:
-    """Set the default engine mode for *new* Environments.
-
-    Returns the previous default, so callers can restore it.
-    """
-    global REFERENCE_MODE
-    previous = REFERENCE_MODE
-    REFERENCE_MODE = bool(enabled)
-    return previous
 
 
 class SimulationError(RuntimeError):
@@ -95,8 +80,8 @@ class Environment:
         throughout this project).
     reference:
         ``True`` forces the reference (pre-overhaul) event loop,
-        ``False`` the optimized one; ``None`` uses the module default
-        (:data:`REFERENCE_MODE`). Both loops are trace-identical.
+        ``False`` the optimized one; ``None`` uses the bound run context
+        (:func:`repro.runctx.current`). Both loops are trace-identical.
 
     Notes
     -----
@@ -114,7 +99,8 @@ class Environment:
         self._seq = 0
         self._active_proc: Optional[Process] = None
         self._processed_count = 0
-        self._reference = REFERENCE_MODE if reference is None else bool(reference)
+        self._reference = (runctx.current().engine_reference if reference is None
+                           else bool(reference))
         self._timeout_pool: list[Timeout] = []
         self._trace: Optional[list[tuple[float, int, int, str]]] = None
         self._until_flag: Optional[_StopFlag] = _StopFlag()

@@ -1,10 +1,11 @@
 """Scenario result caching and sweep drift reports."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-import repro.sim.engine as engine
+from repro import runctx
 from repro.experiments import get_scenario, run_sweep, save_sweep
 from repro.experiments.cache import (
     cache_path,
@@ -16,15 +17,19 @@ from repro.experiments.cache import (
 from repro.experiments.compare import compare_result_to_dir
 from repro.cli import main
 
+#: The test run's starting context: the modes every unbound sweep here uses.
+CTX = runctx.current()
+
 
 # -- cache keys --------------------------------------------------------------
 
 def test_request_key_is_stable_and_sensitive():
     sc = get_scenario("_test_synth")
-    assert request_key(sc) == request_key(sc)
-    assert request_key(sc.with_overrides({"k": [1, 2]})) != request_key(sc)
-    assert request_key(sc.with_overrides(None, seed=9)) != request_key(sc)
-    assert request_key(sc, reference=True) != request_key(sc, reference=False)
+    assert request_key(sc, CTX) == request_key(sc, CTX)
+    assert request_key(sc.with_overrides({"k": [1, 2]}), CTX) != request_key(sc, CTX)
+    assert request_key(sc.with_overrides(None, seed=9), CTX) != request_key(sc, CTX)
+    assert (request_key(sc, replace(CTX, engine_reference=True))
+            != request_key(sc, replace(CTX, engine_reference=False)))
 
 
 def test_cached_sweep_miss_then_hit(tmp_path):
@@ -51,7 +56,7 @@ def test_cache_misses_on_seed_change(tmp_path):
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     sc = get_scenario("_test_synth")
     result = run_sweep(sc, workers=1)
-    key = request_key(sc)
+    key = request_key(sc, CTX)
     path = store_cached(result, tmp_path, key)
     path.write_text("{ not json")
     assert load_cached(tmp_path, sc, key) is None
@@ -64,11 +69,8 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
 
 def test_cache_key_tracks_engine_mode(tmp_path):
     _, hit = cached_sweep("_test_synth", workers=1, cache_dir=tmp_path)
-    prev = engine.set_reference_mode(True)
-    try:
+    with runctx.using(replace(CTX, engine_reference=True)):
         _, hit_ref = cached_sweep("_test_synth", workers=1, cache_dir=tmp_path)
-    finally:
-        engine.set_reference_mode(prev)
     assert not hit and not hit_ref  # distinct entries per engine mode
 
 
@@ -127,9 +129,9 @@ def test_request_key_includes_code_version(monkeypatch):
     import repro.experiments.cache as cache_mod
 
     sc = get_scenario("_test_synth")
-    base = request_key(sc)
+    base = request_key(sc, CTX)
     monkeypatch.setattr(cache_mod, "_code_version", lambda: "deadbeef")
-    assert request_key(sc) != base  # a new commit invalidates the cache
+    assert request_key(sc, CTX) != base  # a new commit invalidates the cache
 
 
 def test_compare_missing_old_result_is_drift(tmp_path):

@@ -4,11 +4,11 @@ dispatch ordering, and cache pruning."""
 import io
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
-import repro.modelmode as modelmode
-import repro.sim.engine as engine
+from repro import runctx
 from repro.cli import main as cli_main
 from repro.experiments import get_scenario, run_sweep
 from repro.experiments.cache import (
@@ -22,17 +22,20 @@ from repro.experiments.cache import (
 )
 from repro.experiments.driver import _order_tasks
 
+#: The test run's starting context: the modes every unbound sweep here uses.
+CTX = runctx.current()
+
 
 # -- point keys --------------------------------------------------------------
 
 def test_point_key_is_stable_and_cfg_sensitive():
     sc = get_scenario("_test_synth")
     cfg = sc.points()[0]
-    assert point_key(sc, cfg) == point_key(sc, cfg)
+    assert point_key(sc, cfg, CTX) == point_key(sc, cfg, CTX)
     other = dict(cfg, k=999)
-    assert point_key(sc, other) != point_key(sc, cfg)
+    assert point_key(sc, other, CTX) != point_key(sc, cfg, CTX)
     seeded = dict(cfg, seed=9)
-    assert point_key(sc, seeded) != point_key(sc, cfg)
+    assert point_key(sc, seeded, CTX) != point_key(sc, cfg, CTX)
 
 
 def test_point_key_tracks_modes_and_code_version(monkeypatch):
@@ -40,11 +43,11 @@ def test_point_key_tracks_modes_and_code_version(monkeypatch):
 
     sc = get_scenario("_test_synth")
     cfg = sc.points()[0]
-    base = point_key(sc, cfg)
-    assert point_key(sc, cfg, reference=True) != base
-    assert point_key(sc, cfg, model_reference=True) != base
+    base = point_key(sc, cfg, CTX)
+    assert point_key(sc, cfg, replace(CTX, engine_reference=True)) != base
+    assert point_key(sc, cfg, replace(CTX, model_reference=True)) != base
     monkeypatch.setattr(cache_mod, "_code_version", lambda: "deadbeef")
-    assert point_key(sc, cfg) != base  # a new commit invalidates points
+    assert point_key(sc, cfg, CTX) != base  # a new commit invalidates points
 
 
 def test_point_key_ignores_grid_membership():
@@ -54,7 +57,7 @@ def test_point_key_ignores_grid_membership():
     wider = sc.with_overrides({"k": [0, 1, 2, 3, 99]})
     cfg = sc.points()[0]
     assert cfg in wider.points()
-    assert point_key(sc, cfg) == point_key(wider, cfg)
+    assert point_key(sc, cfg, CTX) == point_key(wider, cfg, CTX)
 
 
 # -- incremental re-sweeps ---------------------------------------------------
@@ -89,7 +92,7 @@ def test_point_assembly_after_whole_sweep_entry_lost(tmp_path):
     points: every value assembles from the point cache."""
     sc = get_scenario("_test_synth")
     first, _ = cached_sweep(sc, workers=1, cache_dir=tmp_path)
-    cache_path(tmp_path, sc, request_key(sc)).unlink()
+    cache_path(tmp_path, sc, request_key(sc, CTX)).unlink()
     second, hit = cached_sweep(sc, workers=1, cache_dir=tmp_path)
     assert not hit
     assert second.executed_points == 0 and second.cached_points == 9
@@ -101,7 +104,7 @@ def test_point_assembly_after_whole_sweep_entry_lost(tmp_path):
 def test_corrupt_point_entry_is_a_miss(tmp_path):
     sc = get_scenario("_test_synth")
     cache = PointCache(tmp_path)
-    key, miss = cache.lookup(sc, sc.points()[0])
+    key, miss = cache.lookup(sc, sc.points()[0], CTX)
     assert miss is None
     path = cache.store(sc.name, key, {"y": 1.5})
     assert cache.get(sc.name, key) == {"y": 1.5}
@@ -131,14 +134,14 @@ def test_timing_store_roundtrip(tmp_path):
     sc = get_scenario("_test_synth")
     cfg = sc.points()[0]
     store = TimingStore(tmp_path)
-    key = store.key(sc, cfg)
+    key = store.key(sc, cfg, CTX)
     assert store.estimate(key) is None
     store.record(key, 1.25)
     store.flush()
     reloaded = TimingStore(tmp_path)
     assert reloaded.estimate(key) == 1.25
     # Modes change the key: the reference loops have different costs.
-    assert store.key(sc, cfg, reference=True) != key
+    assert store.key(sc, cfg, replace(CTX, engine_reference=True)) != key
 
 
 def test_timing_store_caps_entries(tmp_path):
@@ -184,7 +187,7 @@ def test_recorded_timings_change_dispatch_not_bytes(tmp_path):
     # Second parallel run dispatches longest-recorded-first; bytes and
     # point order in the result are untouched.
     (cache_path(tmp_path, get_scenario("_test_synth"),
-                request_key(get_scenario("_test_synth")))).unlink()
+                request_key(get_scenario("_test_synth"), CTX))).unlink()
     for p in (tmp_path / "points").glob("*.json"):
         p.unlink()
     second, _ = cached_sweep("_test_synth", workers=2, cache_dir=tmp_path)
@@ -258,17 +261,11 @@ def test_point_cache_respects_engine_and_model_modes(tmp_path):
     """Reference-mode sweeps never reuse fast-mode points (and vice
     versa): the per-point key includes both flags."""
     first, _ = cached_sweep("_test_synth", workers=1, cache_dir=tmp_path)
-    prev = engine.set_reference_mode(True)
-    try:
+    with runctx.using(replace(CTX, engine_reference=True)):
         ref, hit = cached_sweep("_test_synth", workers=1, cache_dir=tmp_path)
-    finally:
-        engine.set_reference_mode(prev)
     assert not hit and ref.executed_points == 9
-    prev = modelmode.set_model_reference(True)
-    try:
+    with runctx.using(replace(CTX, model_reference=True)):
         mod, hit = cached_sweep("_test_synth", workers=1, cache_dir=tmp_path)
-    finally:
-        modelmode.set_model_reference(prev)
     assert not hit and mod.executed_points == 9
 
 
@@ -279,7 +276,7 @@ def test_point_get_tolerates_entry_vanishing_into_unreadability(tmp_path):
     check and read): a miss, never an exception or a wrong hit."""
     sc = get_scenario("_test_synth")
     cache = PointCache(tmp_path)
-    key, _ = cache.lookup(sc, sc.points()[0])
+    key, _ = cache.lookup(sc, sc.points()[0], CTX)
     path = cache.store(sc.name, key, {"y": 2.0})
     path.unlink()
     path.mkdir()  # exists() is True, read_text() raises OSError
@@ -291,7 +288,7 @@ def test_load_cached_tolerates_unreadable_entry(tmp_path):
 
     sc = get_scenario("_test_synth")
     result, _ = cached_sweep(sc, workers=1, cache_dir=tmp_path)
-    key = request_key(sc)
+    key = request_key(sc, CTX)
     path = cache_path(tmp_path, sc, key)
     assert load_cached(tmp_path, sc, key) is not None
     path.unlink()
@@ -361,7 +358,7 @@ def test_store_get_prune_thread_stress(tmp_path):
         try:
             for round_ in range(30):
                 for cfg in cfgs:
-                    key, hit = cache.lookup(sc, cfg)
+                    key, hit = cache.lookup(sc, cfg, CTX)
                     if hit is not None and hit != {"y": 1.0}:
                         errors.append(f"torn read: {hit}")
                     cache.store(sc.name, key, {"y": 1.0})

@@ -4,14 +4,14 @@ merges in every engine/model mode, and refusal of unsafe merges."""
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.modelmode as modelmode
-import repro.sim.engine as engine
+from repro import runctx
 from repro.cli import main as cli_main
 from repro.experiments import get_scenario, run_sweep
 from repro.experiments.shard import (
@@ -81,14 +81,11 @@ def test_shard_merge_parity_real_scenario_all_modes(engine_ref, model_ref):
     byte-identically under every engine-mode x model-mode combination;
     the manifests record the modes they ran under."""
     overrides = {"nodes": [2, 4], "samples": 1e9}
-    prev_e = engine.set_reference_mode(engine_ref)
-    prev_m = modelmode.set_model_reference(model_ref)
-    try:
+    ctx = replace(runctx.current(), engine_reference=engine_ref,
+                  model_reference=model_ref)
+    with runctx.using(ctx):
         serial = run_sweep("fig8", overrides, workers=1)
         merged = _shard_and_merge("fig8", 2, overrides)
-    finally:
-        engine.set_reference_mode(prev_e)
-        modelmode.set_model_reference(prev_m)
     assert merged.sha256() == serial.sha256()
 
 
@@ -129,11 +126,8 @@ def test_merge_refuses_seed_mismatch(tmp_path):
 
 def test_merge_refuses_mode_mismatch(tmp_path):
     m0 = run_shard("_test_synth", 0, 2, workers=1)
-    prev = engine.set_reference_mode(True)
-    try:
+    with runctx.using(replace(runctx.current(), engine_reference=True)):
         m1 = run_shard("_test_synth", 1, 2, workers=1)
-    finally:
-        engine.set_reference_mode(prev)
     with pytest.raises(ShardError, match="mismatch"):
         merge_shards(_write_set(tmp_path, [m0, m1]))
 

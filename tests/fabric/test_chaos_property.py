@@ -12,14 +12,14 @@ failing example shrinks to a reproducible script.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.modelmode as modelmode
-import repro.sim.engine as engine
+from repro import runctx
 from repro.experiments import run_sweep
 from repro.fabric import CoordinatorChaos, TrackerConfig, WorkerChaos, run_chaos_fleet
 
@@ -27,16 +27,16 @@ OV = {"nodes": [2, 3, 4], "samples": 1e8}
 _SERIAL_SHA: dict[tuple[bool, bool], str] = {}
 
 
+def _modes(reference: bool, model_reference: bool) -> runctx.RunContext:
+    return replace(runctx.current(), engine_reference=reference,
+                   model_reference=model_reference)
+
+
 def serial_sha(reference: bool, model_reference: bool) -> str:
     combo = (reference, model_reference)
     if combo not in _SERIAL_SHA:
-        prev = engine.set_reference_mode(reference)
-        prev_model = modelmode.set_model_reference(model_reference)
-        try:
+        with runctx.using(_modes(reference, model_reference)):
             _SERIAL_SHA[combo] = run_sweep("fig8", OV).sha256()
-        finally:
-            engine.set_reference_mode(prev)
-            modelmode.set_model_reference(prev_model)
     return _SERIAL_SHA[combo]
 
 
@@ -70,10 +70,10 @@ schedule_st = st.fixed_dictionaries({
 def test_random_failure_schedules_merge_byte_identical(
         schedule, reference, model_reference):
     expected = serial_sha(reference, model_reference)
-    with tempfile.TemporaryDirectory() as td:
+    with (tempfile.TemporaryDirectory() as td,
+          runctx.using(_modes(reference, model_reference))):
         result, stats, reports = run_chaos_fleet(
-            "fig8", OV, reference=reference,
-            model_reference=model_reference,
+            "fig8", OV,
             journal_path=Path(td) / "j.jsonl",
             workers=schedule["workers"],
             worker_chaos=schedule["worker_chaos"],

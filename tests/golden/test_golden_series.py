@@ -18,11 +18,12 @@ and review the resulting diff like any other code change.
 """
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-import repro.sim.engine as engine
+from repro import runctx
 from repro.experiments import run_sweep
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -61,11 +62,8 @@ FIGS = sorted(CASES)
 
 @pytest.fixture
 def reference_mode():
-    prev = engine.set_reference_mode(True)
-    try:
+    with runctx.using(replace(runctx.current(), engine_reference=True)):
         yield
-    finally:
-        engine.set_reference_mode(prev)
 
 
 def _check_against_golden(result) -> None:
@@ -116,8 +114,9 @@ def test_golden_elastic_families_parallel_driver(fig, workers):
 
 @pytest.mark.parametrize("workers", [2])
 def test_golden_fig8_parallel_reference_engine(workers, reference_mode):
-    """Parallel driver + reference engine: workers re-apply the parent's
-    engine mode, so even this combination pins to the same bytes."""
+    """Parallel driver + reference engine: point tasks carry the
+    parent's run context, so even this combination pins to the same
+    bytes."""
     _check_against_golden(run_sweep("fig8", CASES["fig8"], workers=workers))
 
 

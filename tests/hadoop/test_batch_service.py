@@ -14,13 +14,14 @@ both engine modes and both model modes, and by property-testing the
 vectorized kernel cost models against their scalar forms bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.modelmode as modelmode
-import repro.sim.engine as engine
+from repro import runctx
 from repro.cell.processor import CellProcessor
 from repro.cell.runtime import CellMapReduceRuntime, DirectSPERuntime, OffloadRuntime
 from repro.core.simexec import run_workload_mix
@@ -67,23 +68,24 @@ def _run_mix(serial, engine_ref=False, model_ref=False, seed=31, num_jobs=3,
              stagger_s=3.0):
     """One traced multi-job mix; returns (mean completion, assignment
     trace, decision counters)."""
-    prev_e = engine.set_reference_mode(engine_ref)
-    prev_m = modelmode.set_model_reference(model_ref)
+    ctx = replace(runctx.current(), engine_reference=engine_ref,
+                  model_reference=model_ref)
     try:
         if serial:
             JobTracker.start = _serial_start
-        mix, sim = run_workload_mix(
-            8,
-            num_jobs=num_jobs,
-            scheduler="fair",
-            stagger_s=stagger_s,
-            data_gb=0.5,
-            samples=2e9,
-            accelerated_fraction=0.5,
-            seed=seed,
-            trace=True,
-            return_cluster=True,
-        )
+        with runctx.using(ctx):
+            mix, sim = run_workload_mix(
+                8,
+                num_jobs=num_jobs,
+                scheduler="fair",
+                stagger_s=stagger_s,
+                data_gb=0.5,
+                samples=2e9,
+                accelerated_fraction=0.5,
+                seed=seed,
+                trace=True,
+                return_cluster=True,
+            )
         assert mix.succeeded
         trace = [
             (r.time, r.attrs["job"], r.attrs["kind"], r.attrs["task"],
@@ -94,8 +96,6 @@ def _run_mix(serial, engine_ref=False, model_ref=False, seed=31, num_jobs=3,
         return mix.mean_completion_s, trace, sim.jobtracker.decision_counters()
     finally:
         JobTracker.start = _REAL_START
-        engine.set_reference_mode(prev_e)
-        modelmode.set_model_reference(prev_m)
 
 
 def _without_batch_keys(counters):

@@ -7,10 +7,11 @@ number of engine events (the cost: may only fall). They also pin that a
 Java-backend cluster builds no Cell hardware it never uses.
 """
 
+from dataclasses import replace
+
 import pytest
 
-import repro.modelmode as modelmode
-import repro.sim.engine as engine
+from repro import runctx
 from repro.cell.processor import SPE
 from repro.core.simexec import run_pi_job
 from repro.perf.calibration import Backend
@@ -38,13 +39,10 @@ CURVES = {
 def event_thin_model(request):
     """The event-thin model protocol, under both engine loops (their
     event traces are identical, so one budget serves both)."""
-    prev_e = engine.set_reference_mode(request.param)
-    prev_m = modelmode.set_model_reference(False)
-    try:
+    ctx = replace(runctx.current(), engine_reference=request.param,
+                  model_reference=False)
+    with runctx.using(ctx):
         yield
-    finally:
-        engine.set_reference_mode(prev_e)
-        modelmode.set_model_reference(prev_m)
 
 
 @pytest.mark.parametrize("nodes,curve", sorted(BUDGET))

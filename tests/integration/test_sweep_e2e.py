@@ -4,10 +4,11 @@ golden tests. A CI job runs `pytest -m sweep` next to the default gate.
 """
 
 import io
+from dataclasses import replace
 
 import pytest
 
-import repro.sim.engine as engine
+from repro import runctx
 from repro.cli import main as cli_main
 from repro.experiments import run_sweep, save_sweep
 
@@ -21,11 +22,8 @@ def test_full_fig8_grid_worker_invariant():
     serial = run_sweep("fig8", overrides, workers=1)
     parallel = run_sweep("fig8", overrides, workers=4)
     assert serial.canonical_json() == parallel.canonical_json()
-    prev = engine.set_reference_mode(True)
-    try:
+    with runctx.using(replace(runctx.current(), engine_reference=True)):
         reference = run_sweep("fig8", overrides, workers=4)
-    finally:
-        engine.set_reference_mode(prev)
     assert reference.canonical_json() == serial.canonical_json()
 
 

@@ -1,6 +1,6 @@
 """Model-layer tests: event-thin protocol invariants and parity.
 
-The event-thin cluster protocol (``repro.modelmode``) intentionally
+The event-thin cluster protocol (``repro.runctx``) intentionally
 changes the simulated timeline — work-less heartbeats are elided, parked
 trackers wake on demand, the Monte-Carlo offload collapses into one
 composite event — so its contract is pinned from four directions:
@@ -22,16 +22,18 @@ composite event — so its contract is pinned from four directions:
    ``keepalive`` period.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.modelmode as modelmode
+from repro import runctx
 from repro.core.simexec import SimulatedCluster, run_pi_job, run_workload_mix
 from repro.experiments import run_sweep
 from repro.hadoop import JobConf
+from repro.hadoop.tasktracker import KEEPALIVE_FACTOR
 from repro.perf import Backend, PAPER_CALIBRATION
 
 CAL = PAPER_CALIBRATION
@@ -53,24 +55,22 @@ PARITY_CASES = {
 }
 
 
+def _model_mode(reference: bool):
+    return runctx.using(replace(runctx.current(), model_reference=reference))
+
+
 @pytest.fixture
 def reference_model():
-    prev = modelmode.set_model_reference(True)
-    try:
+    with _model_mode(True):
         yield
-    finally:
-        modelmode.set_model_reference(prev)
 
 
 def _run_modes(fn, *args, **kwargs):
     """Run a job builder under (reference, thin) model modes."""
     out = []
     for reference in (True, False):
-        prev = modelmode.set_model_reference(reference)
-        try:
+        with _model_mode(reference):
             out.append(fn(*args, **kwargs))
-        finally:
-            modelmode.set_model_reference(prev)
     return out
 
 
@@ -99,18 +99,17 @@ def test_modes_sampled_at_cluster_construction(reference_model):
     through the TaskContext — even if the default flips mid-run."""
     sim = SimulatedCluster(2, seed=1)
     assert sim.jobtracker.event_thin is False
-    modelmode.set_model_reference(False)
-    assert sim.jobtracker.event_thin is False  # unchanged
-    assert SimulatedCluster(2, seed=1).jobtracker.event_thin is True
+    with _model_mode(False):
+        assert sim.jobtracker.event_thin is False  # unchanged
+        assert SimulatedCluster(2, seed=1).jobtracker.event_thin is True
 
-    # The whole timeline must stay pure reference protocol: running the
-    # reference-built cluster *after* the flip lands on the same bytes
-    # as a run performed entirely under reference mode.
-    conf = JobConf(name="bind", workload="pi",
-                   backend=Backend.CELL_SPE_DIRECT, samples=1e9,
-                   num_map_tasks=4, num_reduce_tasks=1)
-    mixed_ms = sim.run_job(conf).makespan_s
-    modelmode.set_model_reference(True)
+        # The whole timeline must stay pure reference protocol: running
+        # the reference-built cluster *after* the flip lands on the same
+        # bytes as a run performed entirely under reference mode.
+        conf = JobConf(name="bind", workload="pi",
+                       backend=Backend.CELL_SPE_DIRECT, samples=1e9,
+                       num_map_tasks=4, num_reduce_tasks=1)
+        mixed_ms = sim.run_job(conf).makespan_s
     pure_ms = SimulatedCluster(2, seed=1).run_job(conf).makespan_s
     assert mixed_ms == pure_ms
 
@@ -266,7 +265,7 @@ def test_fault_detection_within_timeout(kill_at, seed):
     assert lost <= bound, (kill_at, lost, bound)
     # ...and not spuriously early either: silence shorter than the
     # timeout must never trigger a declaration.
-    assert lost >= kill_at + CAL.heartbeat_timeout_s - CAL.heartbeat_timeout_s * modelmode.KEEPALIVE_FACTOR
+    assert lost >= kill_at + CAL.heartbeat_timeout_s - CAL.heartbeat_timeout_s * KEEPALIVE_FACTOR
 
 
 def test_live_parked_trackers_are_never_declared_dead():

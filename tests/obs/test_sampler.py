@@ -1,22 +1,21 @@
 """Virtual-time sampling and post-run counter flushing on real jobs."""
 
+from dataclasses import replace
+
 import pytest
 
-import repro.obs as obs
+from repro import runctx
 from repro.core import run_encryption_job, run_pi_job
 from repro.perf import Backend
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.calibration import MB
 
 
 @pytest.fixture
 def obs_registry():
-    prev = obs.set_obs(True)
-    obs.reset_registry()
-    try:
-        yield obs.registry()
-    finally:
-        obs.set_obs(prev)
-        obs.reset_registry()
+    registry = MetricsRegistry()
+    with runctx.using(replace(runctx.current(), metrics=registry)):
+        yield registry
 
 
 def test_pi_job_populates_vt_series_and_latency(obs_registry):
@@ -75,12 +74,7 @@ def test_repeated_flush_never_double_counts(obs_registry):
 
 def test_sampler_does_not_change_job_outcome():
     baseline = run_pi_job(2, 1e9, Backend.CELL_SPE_DIRECT, seed=1)
-    prev = obs.set_obs(True)
-    obs.reset_registry()
-    try:
+    with runctx.using(replace(runctx.current(), metrics=MetricsRegistry())):
         sampled = run_pi_job(2, 1e9, Backend.CELL_SPE_DIRECT, seed=1)
-    finally:
-        obs.set_obs(prev)
-        obs.reset_registry()
     assert sampled.makespan_s == baseline.makespan_s
     assert sampled.summary() == baseline.summary()

@@ -1,8 +1,9 @@
 """Chrome-trace / Perfetto JSON export: collector plumbing and schema."""
 
 import json
+from dataclasses import replace
 
-import repro.obs as obs
+from repro import runctx
 from repro.core import run_pi_job
 from repro.obs.traceexport import TraceCollector, chrome_trace, write_chrome_trace
 from repro.perf import Backend
@@ -10,11 +11,8 @@ from repro.perf import Backend
 
 def _traced_pi_run(**collector_kwargs):
     collector = TraceCollector(**collector_kwargs)
-    prev = obs.set_trace_collector(collector)
-    try:
+    with runctx.using(replace(runctx.current(), traces=collector)):
         result = run_pi_job(2, 1e9, Backend.CELL_SPE_DIRECT, seed=1)
-    finally:
-        obs.set_trace_collector(prev)
     assert result.succeeded
     return collector
 

@@ -8,13 +8,13 @@ the Hadoop model, HDFS, and the sweep driver permanently.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
-import repro.modelmode as modelmode
-import repro.obs as obs
-import repro.sim.engine as engine
+from repro import runctx
 from repro.experiments import run_sweep
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.traceexport import TraceCollector
 
 GRID = {"nodes": [2, 4], "samples": 1e9}
@@ -29,24 +29,16 @@ MODES = list(itertools.product([False, True], repeat=2))
 def test_sweep_bytes_identical_with_telemetry_enabled(
     reference_engine, reference_model
 ):
-    prev_e = engine.set_reference_mode(reference_engine)
-    prev_m = modelmode.set_model_reference(reference_model)
-    try:
+    ctx = replace(runctx.current(), engine_reference=reference_engine,
+                  model_reference=reference_model)
+    with runctx.using(ctx):
         baseline = run_sweep("fig8", GRID, seed=7)
 
-        prev_obs = obs.set_obs(True)
-        obs.reset_registry()
         collector = TraceCollector()
-        prev_collector = obs.set_trace_collector(collector)
-        try:
+        with runctx.using(replace(ctx, metrics=MetricsRegistry(),
+                                  traces=collector)):
             instrumented = run_sweep("fig8", GRID, seed=7,
                                      collect_metrics=True)
-        finally:
-            obs.set_trace_collector(prev_collector)
-            obs.set_obs(prev_obs)
-    finally:
-        modelmode.set_model_reference(prev_m)
-        engine.set_reference_mode(prev_e)
 
     assert instrumented.sha256() == baseline.sha256()
     assert instrumented.canonical_json() == baseline.canonical_json()
@@ -61,12 +53,10 @@ def test_sweep_bytes_identical_with_telemetry_enabled(
 
 
 def test_collect_metrics_snapshots_have_sim_counters():
-    prev_obs = obs.set_obs(False)  # driver flips obs on per point itself
-    try:
+    # The driver gives every point a registry of its own.
+    with runctx.using(replace(runctx.current(), metrics=None)):
         result = run_sweep("fig8", {"nodes": [2], "samples": 1e9},
                            seed=7, collect_metrics=True)
-    finally:
-        obs.set_obs(prev_obs)
     (row,) = result.points
     snap = row["metrics"]
     assert snap["sim_heartbeats_total"]["values"][""] > 0

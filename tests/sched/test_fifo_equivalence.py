@@ -8,9 +8,11 @@ sweep workers. These tests add the task-level view: identical
 plumbing (selection routes, validation, misbehaving policies).
 """
 
+from dataclasses import replace
+
 import pytest
 
-import repro.sim.engine as engine
+from repro import runctx
 from repro.core.simexec import SimulatedCluster
 from repro.hadoop import JobConf
 from repro.hadoop.job import TaskKind
@@ -26,8 +28,7 @@ def _pi_conf(**kw):
 
 def _assignment_trace(scheduler=None, reference=False, conf=None):
     """(time, job, kind, task, tracker) of every task_assigned event."""
-    prev = engine.set_reference_mode(reference)
-    try:
+    with runctx.using(replace(runctx.current(), engine_reference=reference)):
         sim = SimulatedCluster(4, seed=99, trace=True, scheduler=scheduler)
         result = sim.run_job(conf if conf is not None else _pi_conf())
         assert result.succeeded
@@ -37,8 +38,6 @@ def _assignment_trace(scheduler=None, reference=False, conf=None):
             for r in sim.cluster.tracer.records
             if r.event == "task_assigned"
         ], result.makespan_s
-    finally:
-        engine.set_reference_mode(prev)
 
 
 def test_every_fifo_selection_route_is_trace_identical():
@@ -64,12 +63,9 @@ def test_speculative_golden_path_unchanged():
     """Speculation decisions (the subtlest extracted logic) survive the
     refactor: with a straggler node the FIFO policy still launches
     duplicates, and the job still finishes."""
-    prev = engine.set_reference_mode(False)
-    try:
+    with runctx.using(replace(runctx.current(), engine_reference=False)):
         sim = SimulatedCluster(4, seed=7, slow_nodes={1: 8.0})
         result = sim.run_job(_pi_conf(speculative=True))
-    finally:
-        engine.set_reference_mode(prev)
     assert result.succeeded
     assert result.counters.get("speculative_attempts", 0) >= 1
 

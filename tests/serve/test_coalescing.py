@@ -8,9 +8,9 @@ modes and both model-protocol modes.
 
 import json
 import threading
+from dataclasses import replace
 
-import repro.modelmode as modelmode
-import repro.sim.engine as engine
+from repro import runctx
 from repro.experiments import run_sweep
 from repro.serve import protocol, request_one, request_stream
 
@@ -88,19 +88,16 @@ def test_interleaved_distinct_requests_do_not_cross_coalesce(server, address):
 def test_mode_combinations_coalesce_and_match_offline(server, address):
     """All four engine×model reference combinations, each submitted
     twice concurrently: one execution per combination, byte-identical
-    to an offline sweep run under those process-global modes. One
-    daemon serves every combination without touching its own globals."""
+    to an offline sweep run under those modes. One daemon serves every
+    combination without touching its own run context."""
     overrides = {"nodes": [2, 4], "samples": 1e9}
     sha_by_combo = {}
     for ref_engine in (False, True):
         for ref_model in (False, True):
-            prev = engine.set_reference_mode(ref_engine)
-            prev_model = modelmode.set_model_reference(ref_model)
-            try:
+            ctx = replace(runctx.current(), engine_reference=ref_engine,
+                          model_reference=ref_model)
+            with runctx.using(ctx):
                 offline = run_sweep("fig8", overrides, seed=1234, workers=1)
-            finally:
-                engine.set_reference_mode(prev)
-                modelmode.set_model_reference(prev_model)
             req = protocol.submit_request(
                 "fig8", overrides, seed=1234,
                 reference_engine=ref_engine, reference_model=ref_model,

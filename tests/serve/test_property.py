@@ -4,21 +4,21 @@ Hypothesis draws a batch of submits — random scenario, grid subset,
 seed, engine/model mode combination, duplicates encouraged, some
 cancelled right after admission — fires them concurrently, and checks
 that every result the daemon serves is byte-identical to a memoized
-serial offline `run_sweep` under the same process-global modes. A
+serial offline `run_sweep` under the same modes. A
 cancelled submit may legitimately land as either `cancelled` or `done`
 (the cancel can lose the race to a fast grid); when it lands `done`
 its bytes must still match offline exactly.
 """
 
 import threading
+from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.modelmode as modelmode
-import repro.sim.engine as engine
 import pytest
 
+from repro import runctx
 from repro.experiments import run_sweep
 from repro.serve import Address, ReproServer, protocol, request_one, request_stream
 
@@ -54,7 +54,7 @@ _offline_memo: dict = {}
 
 
 def offline_bytes(spec) -> tuple[str, dict]:
-    """Serial, in-process reference run under the spec's global modes
+    """Serial, in-process reference run under the spec's modes
     (memoized — identical specs across examples pay once)."""
     scenario = spec["scenario"]
     param, choices = SCENARIOS[scenario]
@@ -62,14 +62,12 @@ def offline_bytes(spec) -> tuple[str, dict]:
     key = (scenario, param, tuple(grid), spec["seed"],
            spec["reference_engine"], spec["reference_model"])
     if key not in _offline_memo:
-        prev = engine.set_reference_mode(spec["reference_engine"])
-        prev_model = modelmode.set_model_reference(spec["reference_model"])
-        try:
+        ctx = replace(runctx.current(),
+                      engine_reference=spec["reference_engine"],
+                      model_reference=spec["reference_model"])
+        with runctx.using(ctx):
             result = run_sweep(scenario, {param: grid},
                                seed=spec["seed"], workers=1)
-        finally:
-            engine.set_reference_mode(prev)
-            modelmode.set_model_reference(prev_model)
         _offline_memo[key] = result.pretty_json()
     overrides = {param: grid}
     return _offline_memo[key], overrides

@@ -9,10 +9,11 @@ unit-level invariants of lazy cancellation.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-import repro.sim.engine as engine_mod
+from repro import runctx
 from repro.sim import (
     Environment,
     Interrupt,
@@ -112,11 +113,8 @@ def test_trace_identical_across_repeated_fast_runs():
 
 
 def _with_reference_mode(enabled, fn):
-    prev = engine_mod.set_reference_mode(enabled)
-    try:
+    with runctx.using(replace(runctx.current(), engine_reference=enabled)):
         return fn()
-    finally:
-        engine_mod.set_reference_mode(prev)
 
 
 def test_fig8_series_byte_identical_across_engine_modes():
