@@ -26,7 +26,7 @@ from repro.sim.resources import Resource
 if TYPE_CHECKING:  # pragma: no cover
     from repro.perf.calibration import CalibrationProfile
 
-__all__ = ["DMAEngine", "DMARequestError", "DMAStats"]
+__all__ = ["DMAEngine", "DMARequestError", "DMAStats", "chunk_time_estimate"]
 
 
 class DMARequestError(ValueError):
@@ -45,6 +45,14 @@ class DMAStats:
     @property
     def total_bytes(self) -> float:
         return self.bytes_in + self.bytes_out
+
+
+def chunk_time_estimate(calib: "CalibrationProfile", nbytes: int) -> float:
+    """Uncontended time for an engine built from ``calib`` to move
+    ``nbytes`` through one direction (no engine needed)."""
+    full, rem = divmod(int(nbytes), calib.dma_max_request_bytes)
+    nreq = full + (1 if rem else 0)
+    return nreq * calib.dma_request_latency_s + nbytes / float(calib.dma_bus_bw)
 
 
 class DMAEngine:
@@ -164,9 +172,7 @@ class DMAEngine:
 
     def chunk_time_estimate(self, nbytes: int) -> float:
         """Uncontended time to move ``nbytes`` through one direction."""
-        full, rem = divmod(int(nbytes), self.max_request_bytes)
-        nreq = full + (1 if rem else 0)
-        return nreq * self.request_latency_s + nbytes / self._bus_in.bandwidth_bps
+        return chunk_time_estimate(self.calib, nbytes)
 
     @property
     def inflight(self) -> int:

@@ -119,16 +119,21 @@ class PPE:
 class CellProcessor:
     """One Cell BE socket: 1 PPE + 8 SPEs + shared DMA engine.
 
-    The hardware is built on first use: a socket that only ever hosts
-    Java mappers (which run on the blade's cores, not on the Cell)
-    allocates no PPE, DMA engine or SPE. Construction has no simulation
-    side effects, so building late changes no event.
+    The hardware is built on first use by an event path (a simulated
+    DMA transfer or SPE occupancy): a socket that only hosts Java
+    mappers, or only analytic offloads, allocates no PPE, DMA engine or
+    SPE. Construction has no simulation side effects, so building late
+    changes no event.
     """
 
     def __init__(self, env: Environment, socket_id: int, calib: "CalibrationProfile"):
         self.env = env
         self.socket_id = socket_id
         self.calib = calib
+        #: Busy seconds each SPE has accumulated while still unbuilt:
+        #: analytic offloads add the same share to every SPE, so one
+        #: float stands for all of them until they exist.
+        self._unbuilt_spe_busy_s = 0.0
 
     @cached_property
     def dma(self) -> DMAEngine:
@@ -140,15 +145,33 @@ class CellProcessor:
 
     @cached_property
     def spes(self) -> list[SPE]:
-        return [SPE(self.env, i, self.dma, self.calib) for i in range(self.spe_count)]
+        spes = [SPE(self.env, i, self.dma, self.calib) for i in range(self.spe_count)]
+        for spe in spes:
+            spe.busy_s = self._unbuilt_spe_busy_s
+        return spes
+
+    @property
+    def spes_built(self) -> bool:
+        """True once an event path has built the SPEs."""
+        return "spes" in self.__dict__
 
     @property
     def spe_count(self) -> int:
         return self.calib.spes_per_cell
 
+    def add_spe_busy(self, share: float) -> None:
+        """Add ``share`` busy seconds to every SPE, building none."""
+        if self.spes_built:
+            for spe in self.spes:
+                spe.busy_s += share
+        else:
+            self._unbuilt_spe_busy_s += share
+
     def total_spe_busy_s(self) -> float:
         """Aggregate SPE kernel-active seconds (energy accounting)."""
-        return sum(s.busy_s for s in self.__dict__.get("spes", ()))
+        if self.spes_built:
+            return sum(s.busy_s for s in self.spes)
+        return sum([self._unbuilt_spe_busy_s] * self.spe_count)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CellProcessor #{self.socket_id} spes={self.spe_count}>"

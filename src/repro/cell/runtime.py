@@ -27,7 +27,8 @@ import numpy as np
 
 from repro import runctx
 from repro.perf.calibration import CalibrationProfile
-from repro.cell.localstore import LocalStoreOverflow
+from repro.cell.dma import chunk_time_estimate
+from repro.cell.localstore import LocalStore, LocalStoreOverflow
 from repro.cell.processor import CellProcessor
 from repro.cell.simd import check_alignment
 
@@ -102,14 +103,16 @@ class OffloadRuntime:
         )
         # Every numeric input the closed forms read, so memoized results
         # can be shared across runtime instances (one is built per task
-        # attempt) without ever mixing calibrations.
+        # attempt) without ever mixing calibrations. The DMA limits are
+        # the ones the socket's DMA engine copies from its calibration;
+        # reading them there builds no engine.
         self._memo_key = (
             type(self).__name__,
             self.chunk_bytes,
             cell.spe_count,
             calib.spe_per_chunk_overhead_s,
-            cell.dma.request_latency_s,
-            cell.dma.max_request_bytes,
+            cell.calib.dma_request_latency_s,
+            cell.calib.dma_max_request_bytes,
             calib.dma_bus_bw,
             calib.ppe_memcpy_bw,
             calib.cell_mr_per_chunk_overhead_s,
@@ -117,15 +120,30 @@ class OffloadRuntime:
         self.validate_buffers()
 
     # -- local-store validation -------------------------------------------------
+    #: ``(runtime class, local-store bytes, chunk bytes)`` shapes already
+    #: proven to fit an empty local store.
+    _VALIDATED: set = set()
+
     def validate_buffers(self) -> None:
         """Prove the double-buffer set fits each SPE's local store.
 
         Double buffering needs two input and two output buffers of one
         chunk each. Runs against SPE 0's allocator (all SPEs are
         identical) and rolls back, so configuration errors surface at
-        construction time exactly like an SPE link failure would.
+        construction time exactly like an SPE link failure would. While
+        the socket's SPEs are unbuilt, a fresh store of the same size
+        stands in (it is what SPE 0 would start with), once per shape.
         """
-        ls = self.cell.spes[0].local_store
+        if self.cell.spes_built:
+            self._probe_buffers(self.cell.spes[0].local_store)
+            return
+        size = self.cell.calib.local_store_bytes
+        shape = (type(self), size, self.chunk_bytes)
+        if shape not in OffloadRuntime._VALIDATED:
+            self._probe_buffers(LocalStore(size_bytes=size))
+            OffloadRuntime._VALIDATED.add(shape)
+
+    def _probe_buffers(self, ls: LocalStore) -> None:
         names = ["in0", "in1", "out0", "out1"]
         allocated = []
         try:
@@ -150,7 +168,7 @@ class OffloadRuntime:
 
     def _chunk_dma_s(self) -> float:
         """One-direction DMA time per chunk (uncontended)."""
-        return self.cell.dma.chunk_time_estimate(self.chunk_bytes)
+        return chunk_time_estimate(self.cell.calib, self.chunk_bytes)
 
     def _steady_period_s(self, spe_bw: float) -> float:
         """Per-chunk period of one double-buffered SPE at steady state.
@@ -198,7 +216,7 @@ class OffloadRuntime:
         tail_aligned = int(np.ceil(tail_bytes / 16) * 16)
         tail_period = max(
             self._chunk_compute_s(spe_bw, tail_aligned),
-            self.cell.dma.chunk_time_estimate(max(16, tail_aligned)),
+            chunk_time_estimate(self.cell.calib, max(16, tail_aligned)),
         )
         tail_spe = (chunks - 1) % nspe
         critical = 0.0
@@ -213,8 +231,8 @@ class OffloadRuntime:
         # drain: last result DMA'd out after compute. Both use the actual
         # first/last transfer sizes (a lone sub-chunk pays sub-chunk DMA).
         first_aligned = int(min(self.chunk_bytes, max(16, np.ceil(nbytes / 16) * 16)))
-        fill = self.cell.dma.chunk_time_estimate(first_aligned)
-        drain = self.cell.dma.chunk_time_estimate(max(16, tail_aligned))
+        fill = chunk_time_estimate(self.cell.calib, first_aligned)
+        drain = chunk_time_estimate(self.cell.calib, max(16, tail_aligned))
         return fill + drain + critical
 
     # -- simulated offload ----------------------------------------------------------
@@ -267,7 +285,7 @@ class OffloadRuntime:
         (DMA issue latencies plus the serialized seed bus slices)."""
         nspe = self.cell.spe_count
         bus_slice = self.PI_DMA_BYTES / self.calib.dma_bus_bw
-        return 2 * self.cell.dma.request_latency_s + (nspe + 1) * bus_slice
+        return 2 * self.cell.calib.dma_request_latency_s + (nspe + 1) * bus_slice
 
     def analytic_samples_time_batch(self, samples, socket_rate: float) -> np.ndarray:
         """Vectorized :meth:`analytic_samples_time` for a wave of tasks.
@@ -352,9 +370,7 @@ class OffloadRuntime:
 
     def _record_busy(self, seconds: float) -> None:
         """Spread analytic busy time evenly over the SPEs."""
-        share = seconds / self.cell.spe_count
-        for spe in self.cell.spes:
-            spe.busy_s += share
+        self.cell.add_spe_busy(seconds / self.cell.spe_count)
 
     def _event_offload(self, nbytes: float, chunks: int, spe_bw: float) -> Generator:
         """Event-accurate double-buffered offload across all SPEs."""

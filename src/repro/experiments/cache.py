@@ -11,9 +11,10 @@ override, another seed, the reference engine or reference model, a
 calibration tweak, or a new commit each miss by construction. The one
 honest gap: edits that are not yet committed do not change the key —
 after hacking on model code, clear the cache directory (or commit)
-before trusting a hit. Worker count is deliberately *not* part of the
-key: the driver's determinism contract makes results byte-identical at
-any parallelism.
+before trusting a hit. The commit is read once per process, so a
+long-lived ``repro serve`` daemon keys by the commit it started at.
+Worker count is deliberately *not* part of the key: the driver's
+determinism contract makes results byte-identical at any parallelism.
 
 The same purity holds one level down: **each grid point** is a pure
 function of its fully-bound ``cfg`` (plus modes/calibration/code), so
@@ -52,6 +53,7 @@ each other to the same entry.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -89,11 +91,13 @@ _POINT_FORMAT = 1
 """Per-point cache schema version."""
 
 
+@functools.cache
 def _code_version() -> Optional[str]:
     """Best-effort marker for the simulator code the results came from:
     the git HEAD commit of the repo containing this package, resolved by
-    plain file reads (no subprocess). None outside a git checkout —
-    then only the schema ``_FORMAT`` guards against code drift."""
+    plain file reads (no subprocess) once per process. None outside a
+    git checkout — then only the schema ``_FORMAT`` guards against code
+    drift."""
     here = Path(__file__).resolve()
     for parent in here.parents:
         git_dir = parent / ".git"
@@ -115,6 +119,11 @@ def _code_version() -> Optional[str]:
         except OSError:
             return None
     return None
+
+
+#: The calibration every key hashes (the profile is frozen, so its dump
+#: is built once).
+_CALIBRATION = PAPER_CALIBRATION.to_dict()
 
 
 def _hash_request(request: dict[str, Any]) -> str:
@@ -193,7 +202,7 @@ def request_key(scenario: Scenario, ctx: runctx.RunContext) -> str:
         "curves": list(scenario.curves),
         "reference_engine": ctx.engine_reference,
         "reference_model": ctx.model_reference,
-        "calibration": PAPER_CALIBRATION.to_dict(),
+        "calibration": _CALIBRATION,
     })
 
 
@@ -215,7 +224,7 @@ def point_key(
         "curves": list(scenario.curves),
         "reference_engine": ctx.engine_reference,
         "reference_model": ctx.model_reference,
-        "calibration": PAPER_CALIBRATION.to_dict(),
+        "calibration": _CALIBRATION,
     })
 
 

@@ -6,7 +6,7 @@ Implements the cluster-level half of the paper's prototype (§III-A):
   driven locality-aware scheduling, failure detection, re-execution,
   optional speculative execution.
 - :class:`~repro.hadoop.tasktracker.TaskTracker` — per-blade mapper
-  slots (2, one per Cell socket), heartbeat loop, task launch.
+  slots (2, one per Cell socket), heartbeat protocol, task launch.
 - :class:`~repro.hadoop.recordreader.RecordReader` — the
   DataNode→TaskTracker record delivery path whose measured slowness is
   the paper's central finding.

@@ -391,7 +391,8 @@ class JobTracker:
         (:meth:`_served`), so no process has to wake to fetch it.
         """
         self._in_service = item
-        self.env.pooled_timeout(self._service_s).callbacks.append(self._served)
+        env = self.env
+        env.call_at(env.now + self._service_s, self._served)
 
     def _served(self, _event) -> None:
         """Handle the message whose slice just ended, then start the

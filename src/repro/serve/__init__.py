@@ -17,6 +17,8 @@ Layering:
 - :mod:`repro.serve.client` — the thin client ``repro submit`` uses.
 """
 
+import importlib
+
 from repro.serve.client import (
     Address,
     request_one,
@@ -24,9 +26,23 @@ from repro.serve.client import (
     retry_delays,
     wait_for_server,
 )
-from repro.serve.jobs import Job, JobRequest, JobTable
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.serve.server import ReproServer
+
+#: Daemon-side names, imported on first use: a client process imports
+#: only the wire format, not the sweep stack (and NumPy) behind them.
+_DAEMON_NAMES = {
+    "Job": "repro.serve.jobs",
+    "JobRequest": "repro.serve.jobs",
+    "JobTable": "repro.serve.jobs",
+    "ReproServer": "repro.serve.server",
+}
+
+
+def __getattr__(name: str):
+    module = _DAEMON_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
 
 __all__ = [
     "Address",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from types import MethodType
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro import runctx
 from repro.sim.events import (
@@ -193,6 +193,46 @@ class Environment:
                 raise ValueError(f"negative timeout delay: {d}")
             total += d
         return self.pooled_timeout(total, value)
+
+    def call_at(
+        self,
+        when: float,
+        callback: Callable[[Event], None],
+        value: Any = None,
+        priority: int = NORMAL,
+    ) -> Timeout:
+        """Run ``callback(event)`` at absolute virtual time ``when``.
+
+        The callback-driven counterpart of a process sleeping on a
+        timeout: one heap entry, no generator. ``event.value`` carries
+        ``value``. The event comes from the :meth:`pooled_timeout`
+        free-list, so the caller may keep it only to recognise it (an
+        identity test drops a superseded wakeup) until it fires, never
+        afterwards. ``when`` is pushed as given, so a deadline computed
+        by the caller lands on exactly that float.
+        """
+        if when < self._now:
+            raise ValueError(f"call_at({when}) is in the past (now={self._now})")
+        pool = self._timeout_pool
+        if pool:  # never populated in reference mode
+            t = pool.pop()
+            t._value = value
+            t._processed = False
+        else:
+            t = Timeout.__new__(Timeout)
+            t.env = self
+            t.callbacks = []
+            t._value = value
+            t._exc = None
+            t._triggered = True
+            t._processed = False
+            t._defused = False
+            t._recycle = not self._reference
+        t.delay = when - self._now
+        t.callbacks.append(callback)
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (when, priority, seq, t))
+        return t
 
     def process(self, gen: Generator, name: Optional[str] = None, start: bool = True) -> Process:
         """Start a new process from generator ``gen``.

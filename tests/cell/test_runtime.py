@@ -63,6 +63,40 @@ def test_probe_allocation_rolls_back():
     assert ls.used_bytes == pytest.approx(48 * 1024, abs=16)
 
 
+def test_construction_builds_no_cell_hardware():
+    _env, cell, _rt = make_runtime()
+    assert not cell.spes_built
+    assert "dma" not in cell.__dict__
+
+
+def test_validation_probes_spe0_store_once_built():
+    """With the SPEs built, the probe runs on SPE 0's real allocator, so
+    space already claimed there counts."""
+    env = Environment()
+    cell = CellProcessor(env, 0, CAL)
+    cell.spes[0].local_store.alloc("resident", 200 * 1024)
+    with pytest.raises(LocalStoreOverflow):
+        DirectSPERuntime(cell, CAL)
+
+
+def test_late_spes_adopt_analytic_busy_bit_for_bit():
+    """Analytic offloads on a socket whose SPEs are unbuilt account the
+    same busy floats as on one whose SPEs exist, and SPEs built later
+    start from them."""
+    env = Environment()
+    early, late = (CellProcessor(env, i, CAL) for i in range(2))
+    early.spes  # built before any offload
+    for cell in (early, late):
+        rt = DirectSPERuntime(cell, CAL, analytic_samples=True)
+        for samples in (1e9, 3.7e10, 2.2e8):
+            env.process(rt.offload_samples(samples, CAL.pi_cell_rate))
+    env.run()
+    assert not late.spes_built
+    assert late.total_spe_busy_s() == early.total_spe_busy_s() > 0.0
+    assert [s.busy_s for s in late.spes] == [s.busy_s for s in early.spes]
+    assert late.total_spe_busy_s() == early.total_spe_busy_s()
+
+
 # --------------------------------------------------------------------------- #
 # Timing                                                                        #
 # --------------------------------------------------------------------------- #

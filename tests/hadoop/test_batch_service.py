@@ -34,15 +34,18 @@ from repro.sim.resources import Store
 
 
 def _serial_main_loop(self):
-    """The pre-batching service loop, verbatim: one ``get()`` per
-    message, one service slice, one dispatch."""
+    """The pre-batching service loop: one ``get()`` per message, one
+    service slice, one dispatch. A tracker's reply box is not a
+    ``Store``: its ``put`` schedules the delivery and returns nothing,
+    so the replica calls it where it used to yield a born-processed
+    ``Store.put`` event (which scheduled nothing)."""
     service_s = self.calib.jobtracker_service_s
     while True:
         msg, reply_box = yield self.inbox.get()
         yield self.env.pooled_timeout(service_s)
         if isinstance(msg, Heartbeat):
             reply = self._handle_heartbeat(msg)
-            yield reply_box.put(reply)
+            reply_box.put(reply)
         elif isinstance(msg, TaskDone):
             self._handle_done(msg)
         elif isinstance(msg, TaskFailed):

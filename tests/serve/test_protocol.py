@@ -7,6 +7,9 @@ sleeps, no daemon, no pool.
 """
 
 import io
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +20,17 @@ from repro.serve import protocol
 
 
 # -- framing -----------------------------------------------------------------
+
+def test_client_import_loads_only_the_wire_format():
+    """A client process does not pay for the daemon's sweep stack."""
+    heavy = ("numpy", "repro.serve.jobs", "repro.serve.server", "repro.experiments")
+    code = ("import sys; from repro.serve import Address, request_stream; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
 
 def test_encode_decode_roundtrip():
     msg = {"verb": "submit", "scenario": "fig8", "overrides": {"nodes": [2, 4]}}

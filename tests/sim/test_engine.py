@@ -200,3 +200,54 @@ def test_processed_event_count_increases():
     env.process(proc())
     env.run()
     assert env.processed_events >= 2
+
+
+def _call_at_program(env, log):
+    """Callbacks at absolute times, tied with process wakeups, both
+    priorities, pooled reuse, and a superseded wakeup dropped by an
+    identity test."""
+    live = {}
+
+    def note(ev):
+        log.append((env.now, ev.value))
+
+    def timer(ev):
+        if ev is live.get("timer"):
+            log.append((env.now, "timer"))
+
+    def proc():
+        for _ in range(3):
+            yield env.pooled_timeout(0.5)
+            log.append((env.now, "proc"))
+            env.call_at(env.now, note, "now")
+        live["timer"] = env.call_at(env.now + 2.0, timer)
+        live["timer"] = env.call_at(env.now + 1.0, timer)  # supersedes
+
+    env.call_at(1.0, note, "normal")
+    env.call_at(1.0, note, "urgent", priority=env.URGENT)
+    env.call_at(0.1 + 0.2, note, "float")
+    env.process(proc())
+
+
+def test_call_at_runs_callbacks_in_heap_order_in_both_loops():
+    runs = []
+    for reference in (False, True):
+        env = Environment(reference=reference)
+        trace = env.capture_trace()
+        log = []
+        _call_at_program(env, log)
+        env.run()
+        runs.append((trace, log))
+    (trace, log), (ref_trace, ref_log) = runs
+    assert trace == ref_trace
+    assert log == ref_log
+    assert log[0] == (0.1 + 0.2, "float")
+    assert log[1:4] == [(0.5, "proc"), (0.5, "now"), (1.0, "urgent")]
+    assert [entry for entry in log if entry[1] == "timer"] == [(2.5, "timer")]
+
+
+def test_call_at_rejects_the_past():
+    env = Environment()
+    env.run(until=1.0)
+    with pytest.raises(ValueError):
+        env.call_at(0.5, lambda ev: None)
