@@ -9,7 +9,9 @@ Public surface:
   :func:`~repro.experiments.registry.scenario_names` — the registry all
   figures and extension studies live in.
 - :func:`~repro.experiments.driver.run_sweep` — fan a grid across
-  workers and aggregate deterministically (byte-identical to serial).
+  workers and aggregate deterministically (byte-identical to serial);
+  :class:`~repro.experiments.driver.SweepLedger` — the one cache,
+  journal and assembly policy every sweep path shares.
 - :class:`~repro.experiments.pool.SweepPool` /
   :func:`~repro.experiments.pool.shared_pool` — persistent worker pools
   that amortize fork cost across sweeps (``REPRO_SWEEP_START_METHOD``
@@ -35,7 +37,7 @@ from repro.experiments.cache import (
     request_key,
 )
 from repro.experiments.compare import DriftReport, compare_result_to_dir
-from repro.experiments.driver import SweepResult, run_sweep
+from repro.experiments.driver import SweepLedger, SweepResult, run_sweep
 from repro.experiments.persistence import DEFAULT_RESULTS_DIR, save_sweep, sweep_csv
 from repro.experiments.pool import SweepPool, close_shared_pools, shared_pool
 from repro.experiments.registry import (
@@ -61,6 +63,7 @@ __all__ = [
     "PointCache",
     "Scenario",
     "ShardError",
+    "SweepLedger",
     "SweepPool",
     "SweepResult",
     "TimingStore",

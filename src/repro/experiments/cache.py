@@ -21,17 +21,14 @@ function of its fully-bound ``cfg`` (plus modes/calibration/code), so
 :func:`point_key` keys single points and :class:`PointCache` stores
 them individually under ``<cache_dir>/points/``. When a sweep's
 whole-request key misses but most of its points are unchanged — the
-typical "tweak one grid value / one default" iteration — the driver
-executes only the missing points and assembles the rest from cache.
-
-Two more files live next to the entries:
-
-- ``timings.json`` (:class:`TimingStore`) — recorded per-point
-  ``elapsed_s`` from prior runs; purely advisory, used to dispatch
-  pending points longest-first so wide pools do not end on a straggler.
-- nothing else: :func:`prune_cache` (``repro sweep --cache-prune``)
-  deletes whole-sweep and point entries by age and/or total size,
-  oldest first, and leaves ``timings.json`` alone.
+typical "tweak one grid value / one default" iteration — only the
+missing points execute and the rest assemble from cache. Beside the
+entries, ``timings.json`` (:class:`TimingStore`) records per-point
+``elapsed_s``: purely advisory, it orders dispatch longest-first.
+:func:`prune_cache` (``repro sweep --cache-prune``) deletes entries by
+age and/or total size and leaves ``timings.json`` alone. When each of
+these is read and written is decided in one place,
+:class:`~repro.experiments.driver.SweepLedger`.
 
 Entries are one JSON file each, ``<scenario>-<key16>.json``, holding
 the full key and the canonical payload. A hit reconstructs the result
@@ -45,10 +42,9 @@ vanishing, or being replaced mid-operation: writes go through a
 same-directory temp file plus :func:`os.replace` (readers see the old
 bytes or the new bytes, never a torn file), reads treat a vanished or
 unreadable entry as a miss, and :func:`prune_cache` tolerates entries
-deleted under its feet. :class:`InflightRegistry` is the in-process
-complement: a thread-safe map of request keys to live computations, so
-concurrent identical requests coalesce onto one run instead of racing
-each other to the same entry.
+deleted under its feet. (Concurrent identical requests inside one
+daemon coalesce before they reach the cache: see
+:class:`repro.serve.jobs.JobTable`.)
 """
 
 from __future__ import annotations
@@ -57,21 +53,21 @@ import functools
 import hashlib
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, TypeVar, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro import runctx
-from repro.experiments.driver import SweepResult, run_sweep
 from repro.experiments.pool import SweepPool
 from repro.experiments.registry import get_scenario
 from repro.experiments.scenario import Scenario
 from repro.perf.calibration import PAPER_CALIBRATION
 
+if TYPE_CHECKING:
+    from repro.experiments.driver import SweepResult
+
 __all__ = [
-    "InflightRegistry",
     "PointCache",
     "PruneStats",
     "TimingStore",
@@ -141,54 +137,6 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-_T = TypeVar("_T")
-
-
-class InflightRegistry:
-    """Thread-safe map of request key → live computation.
-
-    The admission/coalescing primitive the serving layer builds on:
-    :meth:`claim` either returns the existing in-flight entry for a key
-    (attach — the caller shares that computation's result) or invokes
-    ``factory`` under the lock and registers the fresh entry (the caller
-    owns the execution). :meth:`release` removes a finished entry, after
-    which an identical request starts a new computation — typically a
-    whole-sweep cache hit.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._live: dict[str, Any] = {}
-
-    def claim(self, key: str, factory: Callable[[], _T]) -> tuple[_T, bool]:
-        """``(entry, created)``: attach to the in-flight entry for
-        ``key``, or create and register one via ``factory``."""
-        with self._lock:
-            entry = self._live.get(key)
-            if entry is not None:
-                return entry, False
-            entry = factory()
-            self._live[key] = entry
-            return entry, True
-
-    def get(self, key: str) -> Optional[Any]:
-        with self._lock:
-            return self._live.get(key)
-
-    def release(self, key: str, entry: Any) -> bool:
-        """Drop ``key`` if it still maps to ``entry`` (a stale release
-        must never evict a newer computation that reused the key)."""
-        with self._lock:
-            if self._live.get(key) is entry:
-                del self._live[key]
-                return True
-            return False
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._live)
-
-
 def request_key(scenario: Scenario, ctx: runctx.RunContext) -> str:
     """sha256 over everything that determines a sweep's bytes."""
     return _hash_request({
@@ -250,6 +198,9 @@ def load_cached(cache_dir: Path, scenario: Scenario, key: str) -> Optional[Sweep
     A file that vanishes between the existence check and the read — a
     concurrent prune — is a miss too, not an error.
     """
+    # The driver imports this module; the reverse import waits for a call.
+    from repro.experiments.driver import SweepResult
+
     path = cache_path(cache_dir, scenario, key)
     if not path.exists():
         return None
@@ -493,25 +444,19 @@ def cached_sweep(
 ) -> tuple[SweepResult, bool]:
     """``run_sweep`` behind the cache: returns ``(result, was_hit)``.
 
-    ``was_hit`` reports a **whole-sweep** hit (nothing ran at all).
-    On a whole-sweep miss the run still goes through the point cache,
-    so only points whose individual keys miss actually execute — check
-    ``result.executed_points`` / ``result.cached_points`` for the
-    split — and recorded point timings order the dispatch.
+    ``was_hit`` reports a **whole-sweep** hit (nothing ran at all). On
+    a miss only points whose own keys miss execute
+    (``result.executed_points`` / ``.cached_points`` give the split),
+    longest recorded first — :class:`~repro.experiments.driver.SweepLedger`
+    policy.
     """
+    from repro.experiments.driver import SweepLedger
+
     sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
     if seed is not None:
         sc = sc.with_overrides(None, seed=seed)
-    key = request_key(sc, runctx.current())
-    cached = load_cached(cache_dir, sc, key)
-    if cached is not None:
-        return cached, True
-    result = run_sweep(
-        sc,
-        workers=workers,
-        pool=pool,
-        point_cache=PointCache(cache_dir),
-        timings=TimingStore(cache_dir),
-    )
-    store_cached(result, cache_dir, key)
-    return result, False
+    ledger = SweepLedger(sc, runctx.current(), cache_dir=Path(cache_dir))
+    hit = ledger.prefill()
+    if hit is not None:
+        return hit, True
+    return ledger.execute(workers, pool), False

@@ -20,18 +20,12 @@ runs the point under a fresh metrics registry and ships its snapshot
 back as a **non-canonical** extra on the point row — telemetry never
 touches canonical bytes.
 
-Sweep-scale machinery layered on top (all byte-neutral):
-
-- **Persistent pools** — by default parallel sweeps run on a shared
-  :class:`~repro.experiments.pool.SweepPool` that survives across
-  sweeps, amortizing worker startup; pass ``pool=`` to control the
-  lifetime explicitly.
-- **Point-level caching** — pass ``point_cache=`` (see
-  ``experiments/cache.py``) and only grid points whose per-point key
-  misses are executed; the rest assemble from stored values.
-- **Cost-aware dispatch** — pass ``timings=`` and pending points are
-  dispatched longest-recorded-first (unknown points first), which kills
-  straggler tails on wide pools without touching result order.
+Everything around the points is byte-neutral and lives in
+:class:`SweepLedger`, the one place the cache, journal and assembly
+policy is decided: point-cache hits skip execution, recorded timings
+order dispatch longest-first, and every path assembles through
+:func:`build_result`. Parallel sweeps run on a persistent
+:class:`~repro.experiments.pool.SweepPool` shared across sweeps.
 """
 
 from __future__ import annotations
@@ -44,12 +38,19 @@ from typing import Any, Callable, Mapping, Optional, Union
 
 from repro import runctx
 from repro.analysis.series import Series
+from repro.experiments.cache import (
+    PointCache,
+    TimingStore,
+    load_cached,
+    request_key,
+    store_cached,
+)
 from repro.experiments.pool import SweepPool, shared_pool
 from repro.experiments.registry import get_scenario
 from repro.experiments.scenario import Scenario
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["SweepResult", "build_result", "run_sweep"]
+__all__ = ["SweepLedger", "SweepResult", "build_result", "run_sweep"]
 
 
 @dataclass
@@ -180,16 +181,176 @@ def _run_point_task(task: tuple) -> tuple[int, dict[str, float], float, Optional
     return idx, values, dt, snap
 
 
-def _order_tasks(tasks: list[tuple], estimate: Callable[[tuple], Optional[float]]) -> list[tuple]:
+def _order_tasks(items: list, estimate: Callable[[Any], Optional[float]]) -> list:
     """Longest-estimated-first dispatch order (stable, so points with no
     recorded cost keep canonical order, ahead of every known point —
     an unknown point might be the longest, and starting it late is the
     one mistake a wide pool cannot recover from). Pure reordering: the
     results still land in canonical slots, so bytes are unaffected."""
     return sorted(
-        tasks,
+        items,
         key=lambda t: -(e if (e := estimate(t)) is not None else float("inf")),
     )
+
+
+class SweepLedger:
+    """One bound sweep's result slots, and the one place its cache,
+    journal and assembly policy is decided.
+
+    :func:`run_sweep`, :func:`~repro.experiments.cache.cached_sweep`,
+    the shard runner and merger, the serve daemon and the fleet
+    coordinator all fill a ledger and assemble through it:
+
+    - :meth:`prefill` reads the durable sources in precedence order:
+      the whole-sweep cache (a hit is returned and nothing else is
+      read), then the journal to resume, then the point cache;
+    - :meth:`pending` orders the missing points longest recorded cost
+      first when a timing store is present;
+    - :meth:`accept` takes results first-wins and journals each one;
+    - :meth:`result` banks fresh points and timings (:meth:`bank`
+      alone is the cancel path), assembles through
+      :func:`build_result`, stores the whole sweep, removes the journal.
+
+    ``cache_dir`` adds the whole-sweep cache and, unless passed in, a
+    point cache and timing store beside it; ``journal`` is duck-typed
+    as :class:`repro.fabric.journal.Journal`.
+    """
+
+    def __init__(self, sc: Scenario, ctx: runctx.RunContext, *,
+                 key: Optional[str] = None, cache_dir=None,
+                 point_cache=None, timings=None, journal=None):
+        if cache_dir is not None:
+            point_cache = PointCache(cache_dir) if point_cache is None else point_cache
+            timings = TimingStore(cache_dir) if timings is None else timings
+        self.scenario, self.ctx, self._key = sc, ctx, key
+        self.cache_dir, self.point_cache, self.timings = cache_dir, point_cache, timings
+        self.journal = journal
+        self.points = sc.points()
+        self.total = len(self.points)
+        self.results: list[Optional[dict[str, float]]] = [None] * self.total
+        self.elapsed: list[Optional[float]] = [None] * self.total
+        #: Indices accepted in this run; ``prefilled`` counts the rest.
+        self.fresh: list[int] = []
+        self.prefilled = 0
+        self._point_keys: dict[int, str] = {}
+        self._cost_keys: dict[int, str] = {}
+        self._t0 = time.perf_counter()
+
+    @property
+    def key(self) -> str:
+        """The sweep's request key (computed on first use)."""
+        if self._key is None:
+            self._key = request_key(self.scenario, self.ctx)
+        return self._key
+
+    def restore(self, index: int, values: Mapping[str, float],
+                elapsed_s: Optional[float] = None) -> None:
+        """Fill one point from a durable record (a journal line, a shard
+        manifest); it counts as prefilled and is never stored again."""
+        if self.results[index] is None:
+            self.results[index], self.elapsed[index] = dict(values), elapsed_s
+            self.prefilled += 1
+
+    def prefill(self) -> Optional[SweepResult]:
+        """Read the durable sources; returns the whole-sweep hit, if any."""
+        if self.cache_dir is not None:
+            hit = load_cached(self.cache_dir, self.scenario, self.key)
+            if hit is not None:
+                if self.journal is not None:
+                    self.journal.remove()
+                return hit
+        if self.journal is not None:
+            self.journal.open()
+            for index, (values, elapsed) in self.journal.resumed.items():
+                self.restore(index, values, elapsed)
+        if self.point_cache is not None:
+            for i, cfg in enumerate(self.points):
+                if self.results[i] is None:
+                    self._point_keys[i], hit = self.point_cache.lookup(
+                        self.scenario, cfg, self.ctx)
+                    if hit is not None:
+                        self.restore(i, hit)
+        return None
+
+    def pending(self) -> list[int]:
+        """Indices without a result, in dispatch order."""
+        pending = [i for i, r in enumerate(self.results) if r is None]
+        timings = self.timings
+        if timings is None:
+            return pending
+        for i in pending:
+            self._cost_keys[i] = timings.key(self.scenario, self.points[i], self.ctx)
+        return _order_tasks(pending, lambda i: timings.estimate(self._cost_keys[i]))
+
+    def tasks(self, collect: bool = False) -> list[tuple]:
+        """Point tasks for :meth:`pending`, in dispatch order."""
+        return [(self.scenario.name, i, self.points[i], self.ctx, collect)
+                for i in self.pending()]
+
+    def accept(self, index: int, values: Mapping[str, float],
+               elapsed_s: Optional[float]) -> bool:
+        """Take one delivered result, first wins; True when accepted."""
+        if self.results[index] is not None:
+            return False
+        self.results[index], self.elapsed[index] = values, elapsed_s
+        self.fresh.append(index)
+        if self.journal is not None:
+            self.journal.record(index, values, elapsed_s)
+        return True
+
+    def execute(self, workers: int, pool: Optional[SweepPool] = None, *,
+                progress: Optional[Callable[[int, int], None]] = None,
+                collect_metrics: bool = False) -> SweepResult:
+        """Run the pending points through :func:`dispatch_tasks`, then
+        :meth:`result` (the offline paths; see :func:`run_sweep`)."""
+        tasks = self.tasks(collect_metrics)
+        done = self.total - len(tasks)
+        if progress and done:
+            progress(done, self.total)
+        metrics: Optional[list] = [None] * self.total if collect_metrics else None
+        start_method, stream = dispatch_tasks(self.scenario, tasks, workers, pool)
+        for idx, values, dt, snap in stream:
+            self.accept(idx, values, dt)
+            if metrics is not None:
+                metrics[idx] = snap
+            done += 1
+            if progress:
+                progress(done, self.total)
+        return self.result(workers=pool.workers if pool is not None else workers,
+                           start_method=start_method, point_metrics=metrics)
+
+    def bank(self) -> None:
+        """Store the fresh points and their timings. A worker-side
+        point-cache hit reports ``elapsed_s`` 0.0: not a cost, so not
+        recorded."""
+        for i in self.fresh:  # prefill and pending() keyed every one
+            if self.point_cache is not None:
+                self.point_cache.store(self.scenario.name, self._point_keys[i],
+                                       self.results[i])
+            if self.timings is not None and self.elapsed[i]:
+                self.timings.record(self._cost_keys[i], self.elapsed[i])
+        if self.timings is not None:
+            self.timings.flush()
+
+    def result(self, *, workers: int, start_method: Optional[str] = None,
+               elapsed_s: Optional[float] = None,
+               point_metrics: Optional[list] = None) -> SweepResult:
+        """Bank, assemble, store the whole sweep, remove the journal."""
+        self.bank()
+        if elapsed_s is None:
+            elapsed_s = time.perf_counter() - self._t0
+        # build_result through the module global: perfbench wraps it.
+        result = build_result(
+            self.scenario, self.results, self.elapsed, workers=workers,
+            elapsed_s=elapsed_s, start_method=start_method,
+            executed_points=len(self.fresh), cached_points=self.prefilled,
+            point_metrics=point_metrics,
+        )
+        if self.cache_dir is not None:
+            store_cached(result, self.cache_dir, self.key)
+        if self.journal is not None:
+            self.journal.remove()
+        return result
 
 
 def dispatch_tasks(
@@ -198,12 +359,13 @@ def dispatch_tasks(
     workers: int,
     pool: Optional[SweepPool],
 ):
-    """The one serial-vs-pooled execution split every sweep path uses
-    (``run_sweep`` and ``shard.run_shard``). Returns ``(start_method,
-    iterator of (index, values, elapsed_s, metrics))``: in-process
-    execution for one worker or a single task (``start_method`` None),
-    otherwise a persistent pool — the one passed in, or a shared pool
-    capped at the task count so narrow grids never fork idle workers."""
+    """The one serial-vs-pooled execution split every offline sweep
+    path uses (``run_sweep``, ``cached_sweep`` and ``shard.run_shard``).
+    Returns ``(start_method, iterator of (index, values, elapsed_s,
+    metrics))``: in-process execution for one worker or a single task
+    (``start_method`` None), otherwise a persistent pool — the one
+    passed in, or a shared pool capped at the task count so narrow
+    grids never fork idle workers."""
     if (pool.workers if pool is not None else workers) == 1 or len(tasks) <= 1:
         # In-process tasks carry the scenario itself, which need not be
         # registered.
@@ -268,66 +430,11 @@ def run_sweep(
         raise ValueError(f"workers must be >= 1, got {workers}")
     sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
     sc = sc.with_overrides(overrides, seed=seed)
-    points = sc.points()
-    total = len(points)
-    ctx = runctx.current()
-
-    t0 = time.perf_counter()
-    results: list[Optional[dict[str, float]]] = [None] * total
-    point_elapsed: list[Optional[float]] = [None] * total
-    cache_keys: list[Optional[str]] = [None] * total
-    cached = 0
-    if point_cache is not None:
-        for i, cfg in enumerate(points):
-            cache_keys[i], hit = point_cache.lookup(sc, cfg, ctx)
-            if hit is not None:
-                results[i] = hit
-                cached += 1
-
-    pending = [i for i in range(total) if results[i] is None]
-    tasks = [(sc.name, i, points[i], ctx, collect_metrics) for i in pending]
-    cost_keys: dict[int, str] = {}
-    if timings is not None:
-        cost_keys = {i: timings.key(sc, points[i], ctx) for i in pending}
-
-    effective_workers = pool.workers if pool is not None else workers
-    done = cached
-    if progress and cached:
-        progress(done, total)
-    if timings is not None and effective_workers > 1:
-        # Cost-aware ordering only changes *dispatch*; results still
-        # land in canonical slots. Serial runs keep canonical order.
-        tasks = _order_tasks(tasks, lambda t: timings.estimate(cost_keys[t[1]]))
-    point_metrics: list[Optional[dict]] = [None] * total
-    start_method, stream = dispatch_tasks(sc, tasks, workers, pool)
-    for idx, values, dt, snap in stream:
-        results[idx] = values
-        point_elapsed[idx] = dt
-        point_metrics[idx] = snap
-        done += 1
-        if progress:
-            progress(done, total)
-
-    if point_cache is not None:
-        for i in pending:
-            point_cache.store(sc.name, cache_keys[i], results[i])
-    if timings is not None:
-        for i in pending:
-            timings.record(cost_keys[i], point_elapsed[i])
-        timings.flush()
-    elapsed = time.perf_counter() - t0
-
-    return build_result(
-        sc,
-        results,
-        point_elapsed,
-        workers=effective_workers,
-        elapsed_s=elapsed,
-        start_method=start_method,
-        executed_points=len(pending),
-        cached_points=cached,
-        point_metrics=point_metrics if collect_metrics else None,
-    )
+    ledger = SweepLedger(sc, runctx.current(), point_cache=point_cache,
+                         timings=timings)
+    ledger.prefill()
+    return ledger.execute(workers, pool, progress=progress,
+                          collect_metrics=collect_metrics)
 
 
 def build_result(
@@ -344,10 +451,10 @@ def build_result(
 ) -> SweepResult:
     """Assemble per-point values into a :class:`SweepResult`.
 
-    The one definition of how canonical rows and series come together —
-    shared by :func:`run_sweep` and the serving layer
-    (:mod:`repro.serve`), so served payloads are byte-identical to
-    offline sweeps by construction, not by parallel maintenance.
+    The one definition of how canonical rows and series come together,
+    called by :meth:`SweepLedger.result` on every path — so served,
+    sharded and fleet payloads are byte-identical to offline sweeps by
+    construction, not by parallel maintenance.
     ``results`` holds one value dict per canonical grid point; a row
     whose ``point_elapsed`` entry is None is marked cache-assembled.
     ``point_metrics`` (when given) attaches each point's telemetry

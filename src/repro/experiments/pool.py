@@ -1,18 +1,15 @@
 """Persistent worker pools for the sweep driver.
 
-Before this module existed every ``run_sweep`` forked a fresh
-``multiprocessing`` pool and tore it down at the end of the grid — for
-wide, cheap grids (and for benchmarks/tests that run many sweeps back
-to back) the fork/import cost dominated the sweep itself. A
-:class:`SweepPool` keeps its worker processes alive across sweeps, so
-the fork cost is paid once per session, not once per sweep.
+A :class:`SweepPool` keeps its worker processes alive across sweeps,
+so the fork/import cost — which dominates wide, cheap grids — is paid
+once per session, not once per sweep.
 
 Determinism is unaffected: workers are stateless with respect to
 results (each task re-applies the parent's engine and model modes and
 builds a fresh ``Environment``), so pooled, per-sweep, and serial runs
 produce byte-identical ``SweepResult`` content.
 
-Two wrinkles the pool handles:
+The wrinkles the pool handles:
 
 - **Start method.** ``fork`` is preferred (cheap, and children inherit
   the scenario registry so test-registered scenarios sweep too); where
@@ -38,14 +35,17 @@ Two wrinkles the pool handles:
   concurrent jobs onto one pool from multiple threads, so the pool's
   lifecycle (lazy spawn, registry respawn, close) is guarded by a lock.
   The underlying ``multiprocessing.Pool`` task queue is itself
-  thread-safe, so interleaved ``imap_unordered``/``apply_async`` calls
-  from different threads share the workers without perturbing results —
-  dispatch order was never canonical to begin with.
+  thread-safe, so interleaved :meth:`SweepPool.run_tasks` calls from
+  different threads share the workers without perturbing results —
+  dispatch order was never canonical to begin with. A pool torn down
+  by one caller (a death, a registry respawn) loses every caller's
+  queued tasks; each ``run_tasks`` notices and re-dispatches its own.
 """
 
 from __future__ import annotations
 
 import atexit
+import logging
 import multiprocessing
 import os
 import threading
@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 START_METHOD_ENV = "REPRO_SWEEP_START_METHOD"
+
+logger = logging.getLogger("repro.pool")
 
 
 def resolve_start_method(override: Optional[str] = None) -> str:
@@ -111,6 +113,8 @@ class SweepPool:
         self._pids: Optional[frozenset[int]] = None
         #: Worker deaths detected (and survived) over this pool's life.
         self.deaths_detected = 0
+        #: Bumped whenever a live pool is torn down.
+        self._generation = 0
 
     @property
     def started(self) -> bool:
@@ -131,30 +135,6 @@ class SweepPool:
                 self._registry_epoch = epoch
                 self._pids = frozenset(p.pid for p in self._pool._pool)  # noqa: SLF001
             return self._pool
-
-    def imap_unordered(
-        self, fn: Callable[[Any], Any], tasks: Iterable[Any]
-    ) -> Iterator[Any]:
-        """Stream ``fn(task)`` results in completion order (chunksize 1,
-        so long tasks never serialize short ones behind them)."""
-        return self._ensure().imap_unordered(fn, tasks, chunksize=1)
-
-    def apply_async(
-        self,
-        fn: Callable[..., Any],
-        args: tuple = (),
-        callback: Optional[Callable[[Any], None]] = None,
-        error_callback: Optional[Callable[[BaseException], None]] = None,
-    ):
-        """Submit one task and return its ``AsyncResult``.
-
-        The serving layer's dispatch primitive: one task per call keeps
-        at most a pool's worth of work in flight, so a cancelled job
-        stops costing workers after the current wave instead of after
-        the whole grid (``imap_unordered`` queues everything eagerly)."""
-        return self._ensure().apply_async(
-            fn, args, callback=callback, error_callback=error_callback
-        )
 
     def reap_dead(self) -> bool:
         """Detect a killed worker process; tear the pool down if so.
@@ -183,6 +163,9 @@ class SweepPool:
             if not dead:
                 return False
             self.deaths_detected += 1
+            logger.warning("pool worker died; respawning %d worker(s) "
+                           "(deaths so far: %d)", self.workers,
+                           self.deaths_detected)
             self._close_locked()
             return True
 
@@ -191,43 +174,57 @@ class SweepPool:
         fn: Callable[[Any], Any],
         tasks: Iterable[Any],
         poll_s: float = 0.2,
+        stop: Optional[Callable[[], bool]] = None,
     ) -> Iterator[Any]:
         """Death-tolerant ``imap_unordered``: stream ``fn(task)`` results
-        in completion order, surviving SIGKILLed workers.
+        in completion order — the one dispatch loop under offline sweeps
+        and the serving daemon.
 
-        Every task is dispatched individually (``apply_async``) onto a
-        completion queue. When the queue stays silent for ``poll_s`` the
-        pool is health-checked; a detected death respawns the workers
-        and re-dispatches every task whose result has not arrived yet.
-        Tasks must be idempotent pure functions (the sweep contract): a
-        task that was merely queued — not lost — may then complete
-        twice, and the first result wins. Exceptions raised *by tasks*
-        still propagate to the caller; only silent worker death is
-        retried.
+        Each task is dispatched on its own (``apply_async``), so long
+        tasks never serialize short ones. When the completion queue stays
+        silent for ``poll_s`` the pool is health-checked; a detected
+        death — or a reset by another caller sharing the pool — respawns
+        the workers and re-dispatches every unreceived dispatched task.
+        Tasks are idempotent pure functions (the sweep contract), so a
+        duplicate completion is harmless: the first result wins. Task
+        exceptions propagate; only silent worker death is retried.
+
+        Without ``stop`` every task is queued at once. With it, at most
+        ``workers`` tasks are in flight and ``stop()`` is asked on every
+        refill and poll; once it is True nothing new is dispatched, the
+        in-flight tasks drain and the stream ends — so a cancelled job
+        stops costing workers after one wave.
         """
         tasks = list(tasks)
         total = len(tasks)
-        if not total:
-            return
+        cap = total if stop is None else self.workers
         completions: SimpleQueue = SimpleQueue()
         received = [False] * total
+        dispatched = done = 0
+        generation = self._generation
 
-        def submit(indices) -> None:
-            for i in indices:
-                self.apply_async(
-                    fn, (tasks[i],),
-                    callback=lambda r, i=i: completions.put((i, r, None)),
-                    error_callback=lambda e, i=i: completions.put((i, None, e)),
-                )
+        def submit(i: int) -> None:
+            self._ensure().apply_async(
+                fn, (tasks[i],),
+                callback=lambda r: completions.put((i, r, None)),
+                error_callback=lambda e: completions.put((i, None, e)),
+            )
 
-        submit(range(total))
-        done = 0
-        while done < total:
+        while True:
+            if stop is None or not stop():
+                while dispatched < total and dispatched - done < cap:
+                    submit(dispatched)
+                    dispatched += 1
+            if done == dispatched:
+                return
             try:
                 i, result, error = completions.get(timeout=poll_s)
             except Empty:
-                if self.reap_dead():
-                    submit(i for i in range(total) if not received[i])
+                if self.reap_dead() or self._generation != generation:
+                    generation = self._generation
+                    for i in range(dispatched):
+                        if not received[i]:
+                            submit(i)
                 continue
             if received[i]:
                 continue  # duplicate from a pre-respawn dispatch
@@ -252,6 +249,9 @@ class SweepPool:
 
     def _close_locked(self) -> None:
         if self._pool is not None:
+            # Tasks queued on the old pool are gone with it: the bump
+            # tells every run_tasks sharing this pool to re-dispatch.
+            self._generation += 1
             self._pool.terminate()
             self._pool.join()
             self._pool = None

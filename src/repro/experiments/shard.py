@@ -29,8 +29,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro import runctx
-from repro.experiments.cache import request_key
-from repro.experiments.driver import SweepResult, dispatch_tasks
+from repro.experiments.driver import SweepLedger, SweepResult, dispatch_tasks
 from repro.experiments.pool import SweepPool
 from repro.experiments.registry import get_scenario
 from repro.experiments.scenario import Scenario
@@ -99,25 +98,22 @@ def run_shard(
     serializable dict; persist with :func:`write_shard`)."""
     sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
     sc = sc.with_overrides(overrides, seed=seed)
-    points = sc.points()
-    mine = shard_indices(len(points), index, count)
     ctx = runctx.current()
+    ledger = SweepLedger(sc, ctx)
+    mine = shard_indices(ledger.total, index, count)
 
     t0 = time.perf_counter()
-    results: dict[int, dict[str, float]] = {}
-    elapsed: dict[int, float] = {}
-    tasks = [(sc.name, j, points[j], ctx, False) for j in mine]
+    tasks = [(sc.name, j, ledger.points[j], ctx, False) for j in mine]
     _, stream = dispatch_tasks(sc, tasks, workers, pool)
     for j, values, dt, _snap in stream:
-        results[j] = values
-        elapsed[j] = dt
+        ledger.accept(j, values, dt)
 
     return {
         "format": _SHARD_FORMAT,
         "scenario": sc.name,
         "shard_index": index,
         "shard_count": count,
-        "request_key": request_key(sc, ctx),
+        "request_key": ledger.key,
         "seed": sc.seed,
         "reference_engine": ctx.engine_reference,
         "reference_model": ctx.model_reference,
@@ -125,8 +121,8 @@ def run_shard(
         "defaults": dict(sc.defaults),
         "point_indices": mine,
         # Keys are strings (JSON objects force it); merge converts back.
-        "results": {str(j): results[j] for j in mine},
-        "point_elapsed_s": {str(j): round(elapsed[j], 6) for j in mine},
+        "results": {str(j): ledger.results[j] for j in mine},
+        "point_elapsed_s": {str(j): round(ledger.elapsed[j], 6) for j in mine},
         "elapsed_s": round(time.perf_counter() - t0, 6),
     }
 
@@ -182,9 +178,10 @@ def merge_shards(dirs: Sequence[Path]) -> SweepResult:
 
     The merged result is byte-identical to running the sweep serially
     on one host: values round-trip through JSON at full ``repr``
-    precision, points land in canonical grid order, and series assembly
-    is the same :meth:`Scenario.assemble` every other path uses.
-    Raises :class:`ShardError` on any inconsistency.
+    precision, points land in canonical grid order, and assembly goes
+    through the same :class:`SweepLedger` every other path uses (shard
+    points count as prefilled). Raises :class:`ShardError` on any
+    inconsistency.
     """
     manifests = _load_manifests(dirs)
     first = manifests[0]
@@ -233,10 +230,11 @@ def merge_shards(dirs: Sequence[Path]) -> SweepResult:
         defaults=dict(first["defaults"]),
         seed=int(first["seed"]),
     )
-    expected = request_key(sc, runctx.RunContext(
+    ledger = SweepLedger(sc, runctx.RunContext(
         engine_reference=first["reference_engine"],
         model_reference=first["reference_model"],
     ))
+    expected = ledger.key
     if expected != first["request_key"]:
         raise ShardError(
             f"request-key mismatch for {sc.name!r}: the shards were "
@@ -246,53 +244,27 @@ def merge_shards(dirs: Sequence[Path]) -> SweepResult:
             f"checkout"
         )
 
-    points = sc.points()
-    results: list[Optional[dict[str, float]]] = [None] * len(points)
-    point_elapsed: list[Optional[float]] = [None] * len(points)
     for m in manifests:
-        expected_indices = shard_indices(
-            len(points), m["shard_index"], count
-        )
+        expected_indices = shard_indices(ledger.total, m["shard_index"], count)
         if list(m["point_indices"]) != expected_indices:
             raise ShardError(
                 f"shard {m['shard_index']}/{count} covers points "
                 f"{m['point_indices']}, expected {expected_indices} — the "
                 f"partition is not the canonical round-robin split"
             )
+        elapsed = m.get("point_elapsed_s", {})
         for j_str, values in m["results"].items():
-            results[int(j_str)] = dict(values)
-        for j_str, dt in m.get("point_elapsed_s", {}).items():
-            point_elapsed[int(j_str)] = float(dt)
-    absent = [i for i, r in enumerate(results) if r is None]
+            dt = elapsed.get(j_str)
+            ledger.restore(int(j_str), values, None if dt is None else float(dt))
+    absent = [i for i, r in enumerate(ledger.results) if r is None]
     if absent:
         raise ShardError(
             f"shard set covers the grid incompletely: no values for "
             f"point(s) {absent}"
         )
-
-    series = sc.assemble(results)
-    point_rows = []
-    for i, (cfg, values) in enumerate(zip(points, results)):
-        row: dict[str, Any] = {
-            "params": {k: v for k, v in cfg.items() if k != "seed"},
-            "values": values,
-        }
-        if point_elapsed[i] is not None:
-            row["elapsed_s"] = point_elapsed[i]
-        point_rows.append(row)
-    return SweepResult(
-        scenario=sc.name,
-        title=sc.format_title(),
-        seed=sc.seed,
-        x=sc.x,
-        xlabel=sc.xlabel,
-        ylabel=sc.ylabel,
-        grid={k: list(v) for k, v in sc.grid.items()},
-        defaults=dict(sc.defaults),
-        points=point_rows,
-        series=series,
-        workers=0,  # nothing ran here; the shards did the work
+    # Nothing ran here (workers 0): the shards did the work, and their
+    # summed wall-clock is the sweep's.
+    return ledger.result(
+        workers=0,
         elapsed_s=sum(float(m["elapsed_s"]) for m in manifests),
-        executed_points=0,
-        cached_points=0,
     )

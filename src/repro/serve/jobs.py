@@ -3,12 +3,11 @@
 A :class:`Job` is one admitted computation — a bound scenario plus the
 run context (engine/model modes) it will run under, identified by the
 canonical :func:`~repro.experiments.cache.request_key`. The
-:class:`JobTable` admits requests through an
-:class:`~repro.experiments.cache.InflightRegistry`: a submit whose key
-matches a live (queued or running) job **attaches** to it instead of
-creating a new one, which is the request-coalescing guarantee — K
-identical concurrent submits execute the grid once and every client
-receives the same payload bytes.
+:class:`JobTable` keeps the live (queued or running) job per key: a
+submit whose key matches one **attaches** to it instead of creating a
+new one, which is the request-coalescing guarantee — K identical
+concurrent submits execute the grid once and every client receives the
+same payload bytes.
 
 States move ``queued → running → done`` with two exits (``cancelled``,
 ``failed``); terminal states never transition again. Every state
@@ -36,7 +35,7 @@ from queue import SimpleQueue
 from typing import Any, Callable, Mapping, Optional
 
 from repro import runctx
-from repro.experiments.cache import InflightRegistry, request_key
+from repro.experiments.cache import request_key
 from repro.experiments.registry import get_scenario
 from repro.experiments.scenario import Scenario
 
@@ -317,7 +316,7 @@ class JobTable:
         self._clock = clock
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}  # insertion order == admission order
-        self._inflight = InflightRegistry()
+        self._live: dict[str, Job] = {}  # request key -> queued/running job
         self._seq = 0
         self.coalesced_submits = 0
 
@@ -331,26 +330,28 @@ class JobTable:
         sc = request.bind()
         ctx = request.context()
         key = request_key(sc, ctx)
-
-        def factory() -> Job:
-            with self._lock:
+        with self._lock:
+            job = self._live.get(key)
+            # A finished job its executor has not released yet is not
+            # live: a resubmit must reach the cache, not its husk.
+            created = job is None or job.state in TERMINAL_STATES
+            if created:
                 self._seq += 1
                 job = Job(f"job-{self._seq:06d}", request, sc, ctx, key,
                           self._clock)
                 self._jobs[job.id] = job
-                return job
-
-        job, created = self._inflight.claim(key, factory)
-        job.attach()
-        if not created:
-            with self._lock:
+                self._live[key] = job
+            else:
                 self.coalesced_submits += 1
+        job.attach()
         return job, created
 
     def release(self, job: Job) -> None:
-        """Drop a finished job from the in-flight registry (its table
-        entry stays for status queries). Idempotent and stale-safe."""
-        self._inflight.release(job.key, job)
+        """Drop a finished job from the live map (its status row stays);
+        idempotent, and never evicts a newer job for the same key."""
+        with self._lock:
+            if self._live.get(job.key) is job:
+                del self._live[job.key]
 
     def get(self, job_id: str) -> Optional[Job]:
         with self._lock:

@@ -1,69 +1,57 @@
 """The long-running simulation daemon behind ``repro serve``.
 
-One process, three kinds of threads:
+A thin listener (:class:`~repro.netserve.LineServer`, one request per
+connection) in front of a job table; one executor thread per admitted
+job fans its grid points onto the shared persistent
+:class:`~repro.experiments.pool.SweepPool` and publishes per-point
+progress to every subscribed client. Correctness properties, in order
+of importance:
 
-- an **accept loop** listening on a TCP port or unix socket;
-- one **connection handler** per client, reading a single line-JSON
-  request and streaming response events back (see
-  :mod:`repro.serve.protocol`);
-- one **executor** per admitted job, fanning the job's grid points onto
-  the shared persistent :class:`~repro.experiments.pool.SweepPool` and
-  publishing per-point progress to every subscribed client.
-
-Correctness properties, in order of importance:
-
-- **Byte identity.** A served payload is assembled by the exact
-  :func:`~repro.experiments.driver.build_result` path offline sweeps
-  use, from per-point values computed by the same worker-side task
-  function — so it is byte-identical to ``repro sweep`` output by
-  construction, at any concurrency, in any engine/model mode.
+- **Byte identity.** A job is a :class:`~repro.experiments.driver.SweepLedger`
+  — the cache, point-cache and assembly policy of ``repro sweep
+  --cache`` — fed by the same worker-side task function, so a served
+  payload is byte-identical to ``repro sweep`` output by construction,
+  at any concurrency, in any engine/model mode.
 - **Coalescing.** Admission goes through the job table's in-flight
   registry: concurrent submits with one canonical request key execute
   the grid once; every attached client receives the same payload.
 - **Isolation.** Grid points always run in pool worker processes, and
-  each task re-applies its job's engine/model modes around the point
-  (exactly as parallel sweeps do), so concurrent jobs in different
-  modes never perturb each other or the daemon process.
-- **Prompt cancellation.** Points are dispatched in waves of at most
-  ``workers`` in-flight tasks (``apply_async``, not a bulk ``imap``),
-  so a cancelled job stops consuming the pool after the current wave.
+  each task re-applies its job's engine/model modes around the point,
+  so concurrent jobs in different modes never perturb each other.
+- **Prompt cancellation.** The pool's one dispatch loop
+  (:meth:`~repro.experiments.pool.SweepPool.run_tasks`) runs with the
+  job's stop check, so at most ``workers`` tasks are in flight and a
+  cancelled job stops consuming the pool after the current wave.
 
 Cancellation and client disconnects are independent: a client that
 goes away mid-stream just loses its subscription — the job keeps
 running for the other attached clients (and for the cache). Only an
-explicit ``cancel`` verb kills a job.
+explicit ``cancel`` verb, or the abandoned-job reaper, ends a job.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import socket
 import threading
 import time
 from pathlib import Path
-from queue import Empty, SimpleQueue
 from typing import Any, Callable, Mapping, Optional
 
-from repro.experiments.cache import (
-    PointCache,
-    TimingStore,
-    load_cached,
-    store_cached,
-)
-from repro.experiments.driver import _order_tasks, _run_point_task, build_result
+from repro.experiments.cache import PointCache, TimingStore
+from repro.experiments.driver import SweepLedger, _run_point_task
 from repro.experiments.pool import SweepPool
 from repro.experiments.scenario import GridError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.prometheus import CONTENT_TYPE, render as render_prometheus
+from repro.netserve import LineServer
+from repro.obs.prometheus import CONTENT_TYPE
 from repro.serve import protocol
 from repro.serve.jobs import Job, JobRequest, JobTable
 from repro.serve.logs import log_event, server_logger
+from repro.wire import send_msg
 
 __all__ = ["ReproServer"]
 
 
-class ReproServer:
+class ReproServer(LineServer):
     """The daemon: a listener, a job table, and a worker pool.
 
     Parameters
@@ -89,6 +77,16 @@ class ReproServer:
     clock: time source for the job table (tests inject a fake one).
     """
 
+    thread_prefix = "repro-serve"
+    metric_prefix = "repro_serve_"
+    gauges = (
+        ("jobs", "Jobs admitted since start"),
+        ("active_jobs", "Jobs currently queued or running"),
+        ("coalesced_submits", "Submits coalesced onto an in-flight job"),
+        ("workers", "Pool worker processes"),
+        ("uptime_s", "Daemon uptime in seconds"),
+    )
+
     def __init__(
         self,
         *,
@@ -102,17 +100,10 @@ class ReproServer:
         abandon_timeout_s: Optional[float] = 30.0,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if (port is None) == (socket_path is None):
-            raise ValueError("exactly one of port= or socket_path= is required")
-        self.host = host
-        self.port = port
-        self.socket_path = Path(socket_path) if socket_path is not None else None
-        if pool is None:
-            pool = SweepPool(workers)
-            owns_pool = True if owns_pool is None else owns_pool
-        else:
-            owns_pool = False if owns_pool is None else owns_pool
-        self.pool = pool
+        super().__init__(port, socket_path, host)
+        if owns_pool is None:
+            owns_pool = pool is None
+        self.pool = pool = pool if pool is not None else SweepPool(workers)
         self.workers = pool.workers
         self._owns_pool = owns_pool
         self.abandon_timeout_s = abandon_timeout_s
@@ -122,10 +113,7 @@ class ReproServer:
         self.table = JobTable(clock=clock)
         self._clock = clock
         self._lock = threading.Lock()
-        self._listener: Optional[socket.socket] = None
-        self._threads: set[threading.Thread] = set()
         self._draining = False
-        self._done = threading.Event()
         self._started_at: Optional[float] = None
         self.points_executed = 0
         self.cache_hits = 0
@@ -133,7 +121,6 @@ class ReproServer:
         # the registry is private to this server instance and costs a
         # few counter bumps per request — nothing on any simulation
         # path. The `metrics` verb renders it as Prometheus text.
-        self.metrics = MetricsRegistry()
         self._m_requests = self.metrics.counter(
             "repro_serve_requests_total", "Requests handled, by verb",
             labels=("verb",),
@@ -161,7 +148,7 @@ class ReproServer:
         )
         self._m_worker_deaths = self.metrics.counter(
             "repro_serve_worker_deaths_total",
-            "Pool worker deaths detected and survived mid-job",
+            "Pool worker deaths detected and survived",
         )
 
     # -- lifecycle -----------------------------------------------------------
@@ -169,35 +156,12 @@ class ReproServer:
         """Bind, listen, and spawn the accept loop."""
         if self._listener is not None:
             return self
-        if self.socket_path is not None:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            if self.socket_path.exists():
-                self.socket_path.unlink()  # stale socket from a dead daemon
-            self.socket_path.parent.mkdir(parents=True, exist_ok=True)
-            sock.bind(str(self.socket_path))
-        else:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((self.host, self.port))
-            self.port = sock.getsockname()[1]
-        sock.listen(128)
-        self._listener = sock
+        self._listen()
         self._started_at = self._clock()
         log_event(server_logger, logging.INFO, "server_started",
                   endpoint=self.endpoint(), workers=self.workers,
                   cache_dir=self.cache_dir)
-        self._spawn(self._accept_loop, name="repro-serve-accept")
         return self
-
-    def endpoint(self) -> str:
-        """Human-readable listen address (also what clients connect to)."""
-        if self.socket_path is not None:
-            return str(self.socket_path)
-        return f"{self.host}:{self.port}"
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until shutdown completes (the CLI's serve loop)."""
-        return self._done.wait(timeout)
 
     def shutdown(self, mode: str = "graceful") -> None:
         """Stop accepting, settle jobs, release the pool, wake waiters.
@@ -216,48 +180,15 @@ class ReproServer:
         if mode == "now":
             for job in self.table.active():
                 job.cancel()
-        me = threading.current_thread()
-        while True:
-            with self._lock:
-                live = [t for t in self._threads if t.is_alive() and t is not me]
-            if not live:
-                break
-            for t in live:
-                t.join(timeout=30)
+        self._join_threads(timeout=30)
         if self._owns_pool:
             self.pool.close()
-        if self.socket_path is not None and self.socket_path.exists():
-            try:
-                self.socket_path.unlink()
-            except OSError:
-                pass
         log_event(server_logger, logging.INFO, "server_stopped", mode=mode)
         self._done.set()
 
     def close(self) -> None:
         """Idempotent teardown for tests/embedding: immediate shutdown."""
         self.shutdown(mode="now")
-
-    def _close_listener(self) -> None:
-        listener, self._listener = self._listener, None
-        if listener is not None:
-            try:
-                # close() alone does not wake a thread blocked in
-                # accept(); shutdown() does, making it fail with OSError.
-                listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                listener.close()
-            except OSError:
-                pass
-
-    def _spawn(self, target: Callable[..., None], *args, name: str) -> None:
-        thread = threading.Thread(target=target, args=args, name=name, daemon=True)
-        with self._lock:
-            self._threads = {t for t in self._threads if t.is_alive()}
-            self._threads.add(thread)
-        thread.start()
 
     # -- stats ---------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
@@ -275,54 +206,19 @@ class ReproServer:
                 "version": protocol.PROTOCOL_VERSION,
             }
 
-    # -- accepting + connection handling -------------------------------------
-    def _accept_loop(self) -> None:
-        while True:
-            listener = self._listener
-            if listener is None:
-                return
-            try:
-                conn, _ = listener.accept()
-            except OSError:
-                return  # listener closed: shutdown in progress
-            self._spawn(self._handle_conn, conn, name="repro-serve-conn")
-
-    def _handle_conn(self, conn: socket.socket) -> None:
-        stream = conn.makefile("rwb")
+    # -- connection handling: one request per connection ------------------
+    def handle_conn(self, stream) -> None:
         try:
-            line = stream.readline()
-            if not line:
+            msg = self.read_frame(stream)
+            if msg is None:
                 return
-            try:
-                msg = protocol.parse_request(protocol.decode(line))
-            except protocol.ProtocolError as exc:
-                self._send(stream, {"event": "error", "message": str(exc)})
-                return
-            self.handle_request(msg, lambda event: self._send(stream, event))
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass  # client went away; the job (if any) keeps running
-        finally:
-            try:
-                stream.close()
-            except OSError:
-                pass
-            try:
-                # shutdown(), not just close(): forked pool workers hold
-                # inherited duplicates of this fd, and only a shutdown
-                # terminates the stream itself — otherwise the client
-                # never sees EOF until the workers exit.
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    @staticmethod
-    def _send(stream, event: Mapping[str, Any]) -> None:
-        stream.write(protocol.encode(event))
-        stream.flush()
+            msg = protocol.parse_request(msg)
+        except protocol.ProtocolError as exc:
+            send_msg(stream, {"event": "error", "message": str(exc)})
+            return
+        # A client that goes away mid-stream only loses its
+        # subscription; the job (if any) keeps running.
+        self.handle_request(msg, lambda event: send_msg(stream, event))
 
     # -- request dispatch (socket-free, so unit tests can call it) -----------
     def handle_request(
@@ -352,10 +248,8 @@ class ReproServer:
             elif verb == "metrics":
                 send({"event": "metrics", "content_type": CONTENT_TYPE,
                       "text": self.render_metrics()})
-            elif verb == "submit":
+            else:  # "submit": parse_request rejects every other verb
                 self._handle_submit(msg, send)
-            else:  # pragma: no cover - parse_request already rejects these
-                send({"event": "error", "message": f"unhandled verb {verb!r}"})
         finally:
             self._m_requests.inc(verb=verb)
             self._m_latency.observe(time.perf_counter() - started, verb=verb)
@@ -363,16 +257,12 @@ class ReproServer:
     def render_metrics(self) -> str:
         """Prometheus text exposition of the daemon registry, with the
         point-in-time stats refreshed into gauges at render time."""
-        stats = self.stats()
-        for name, help_text in (
-            ("jobs", "Jobs admitted since start"),
-            ("active_jobs", "Jobs currently queued or running"),
-            ("coalesced_submits", "Submits coalesced onto an in-flight job"),
-            ("workers", "Pool worker processes"),
-            ("uptime_s", "Daemon uptime in seconds"),
-        ):
-            self.metrics.gauge(f"repro_serve_{name}", help_text).set(stats[name])
-        return render_prometheus(self.metrics)
+        # The pool's dispatch loop survives worker deaths for every job;
+        # the counter catches up with its tally.
+        missed = self.pool.deaths_detected - self._m_worker_deaths.value()
+        if missed > 0:
+            self._m_worker_deaths.inc(missed)
+        return super().render_metrics()
 
     def _handle_status(self, msg, send) -> None:
         job_id = msg.get("job")
@@ -430,10 +320,7 @@ class ReproServer:
             return
         try:
             while True:
-                try:
-                    event = queue.get(timeout=1.0)
-                except Empty:
-                    continue
+                event = queue.get()
                 send(event)
                 if event["event"] in ("result", "cancelled", "error"):
                     return
@@ -455,195 +342,75 @@ class ReproServer:
 
     def _run_job(self, job: Job) -> None:
         sc = job.scenario
-        if self.cache_dir is not None:
-            cached = load_cached(self.cache_dir, sc, job.key)
-            if cached is not None:
-                if not job.mark_running():
-                    return  # cancelled before the executor got here
-                with self._lock:
-                    self.cache_hits += 1
-                self._m_sweep_cache_hits.inc()
-                log_event(server_logger, logging.INFO, "job_done",
-                          job=job.id, request_key=job.key, cache_hit=True)
-                self._finish_with_result(job, cached, cache_hit=True)
-                return
+        ledger = SweepLedger(sc, job.ctx, key=job.key, cache_dir=self.cache_dir,
+                             point_cache=self.point_cache, timings=self.timings)
+        cached = ledger.prefill()
         if not job.mark_running():
+            return  # cancelled before the executor got here
+        if cached is not None:
+            with self._lock:
+                self.cache_hits += 1
+            self._m_sweep_cache_hits.inc()
+            log_event(server_logger, logging.INFO, "job_done",
+                      job=job.id, request_key=job.key, cache_hit=True)
+            self._finish_with_result(job, cached, cache_hit=True)
             return
         log_event(server_logger, logging.DEBUG, "job_running",
                   job=job.id, request_key=job.key, total=job.total)
+        job.note_cached(ledger.prefilled)
 
-        points = sc.points()
-        total = len(points)
-        results: list[Optional[dict[str, float]]] = [None] * total
-        point_elapsed: list[Optional[float]] = [None] * total
-        cache_keys: list[Optional[str]] = [None] * total
-        cached_n = 0
-        if self.point_cache is not None:
-            for i, cfg in enumerate(points):
-                cache_keys[i], hit = self.point_cache.lookup(sc, cfg, job.ctx)
-                if hit is not None:
-                    results[i] = hit
-                    cached_n += 1
-            job.note_cached(cached_n)
-
-        pending = [i for i in range(total) if results[i] is None]
-        tasks = [(sc.name, i, points[i], job.ctx, False) for i in pending]
-        cost_keys: dict[int, str] = {}
-        if self.timings is not None:
-            cost_keys = {i: self.timings.key(sc, points[i], job.ctx)
-                         for i in pending}
-            tasks = _order_tasks(
-                tasks, lambda t: self.timings.estimate(cost_keys[t[1]])
-            )
-
-        t0 = time.perf_counter()
-        executed: list[int] = []
-        if tasks and not self._dispatch_waves(
-            job, tasks, points, results, point_elapsed, executed
-        ):
-            # Cancelled mid-flight. Completed points are pure values —
-            # bank them so a resubmit only pays for what never ran.
-            self._store_fresh(sc, executed, results, point_elapsed,
-                              cache_keys, cost_keys)
+        tasks = ledger.tasks()
+        stream = self.pool.run_tasks(_run_point_task, tasks,
+                                     stop=lambda: self._job_stopped(job))
+        for idx, values, dt, _snap in stream:
+            ledger.accept(idx, values, dt)
+            params = {k: v for k, v in ledger.points[idx].items() if k != "seed"}
+            job.publish_point(idx, params, values)
+        if tasks and job.cancelled:
+            # Completed points are pure values — bank them so a
+            # resubmit only pays for what never ran.
+            ledger.bank()
             log_event(server_logger, logging.INFO, "job_cancelled",
                       job=job.id, request_key=job.key,
-                      completed_points=len(executed))
+                      completed_points=len(ledger.fresh))
             self._m_jobs.inc(outcome="cancelled")
             job.finish_cancelled()
             return
 
-        self._store_fresh(sc, pending, results, point_elapsed,
-                          cache_keys, cost_keys)
-        result = build_result(
-            sc,
-            results,
-            point_elapsed,
-            workers=self.pool.workers,
-            elapsed_s=time.perf_counter() - t0,
-            start_method=self.pool.start_method,
-            executed_points=len(pending),
-            cached_points=cached_n,
-        )
-        if self.cache_dir is not None:
-            store_cached(result, self.cache_dir, job.key)
+        result = ledger.result(workers=self.pool.workers,
+                               start_method=self.pool.start_method)
         with self._lock:
-            self.points_executed += len(pending)
-        if pending:
-            self._m_points.inc(len(pending), source="executed")
-        if cached_n:
-            self._m_points.inc(cached_n, source="point_cache")
+            self.points_executed += result.executed_points
+        if result.executed_points:
+            self._m_points.inc(result.executed_points, source="executed")
+        if result.cached_points:
+            self._m_points.inc(result.cached_points, source="point_cache")
         log_event(server_logger, logging.INFO, "job_done",
                   job=job.id, request_key=job.key, sha256=result.sha256(),
-                  executed_points=len(pending), cached_points=cached_n,
+                  executed_points=result.executed_points,
+                  cached_points=result.cached_points,
                   elapsed_s=round(result.elapsed_s, 3))
         self._finish_with_result(job, result)
 
-    def _dispatch_waves(
-        self, job: Job, tasks, points, results, point_elapsed, executed
-    ) -> bool:
-        """Run ``tasks`` on the pool, at most ``workers`` in flight;
-        False when the job was cancelled before every task finished.
-        Completed indices are appended to ``executed``.
-
-        The completion wait polls rather than blocks, which buys two
-        kinds of fault tolerance: a SIGKILLed pool worker (whose task
-        would otherwise never complete) is detected via
-        :meth:`SweepPool.reap_dead` and the whole in-flight wave is
-        re-dispatched onto the respawned pool, and a job every
-        streaming client abandoned mid-run is reaped (cancelled) after
-        ``abandon_timeout_s`` instead of leaking its lease. Tasks are
-        idempotent pure point functions, so a re-dispatch can at worst
-        deliver a duplicate result — deduplicated here by index."""
-        completions: SimpleQueue = SimpleQueue()
-        it = iter(tasks)
-        inflight: dict[int, Any] = {}  # point index -> task tuple
-
-        def dispatch(task) -> None:
-            self.pool.apply_async(
-                _run_point_task, (task,),
-                callback=completions.put,
-                error_callback=completions.put,
-            )
-
-        while True:
-            self._maybe_reap_abandoned(job)
-            if not job.cancelled:
-                while len(inflight) < self.workers:
-                    task = next(it, None)
-                    if task is None:
-                        break
-                    inflight[task[1]] = task
-                    dispatch(task)
-            if not inflight:
-                return not job.cancelled
-            try:
-                outcome = completions.get(timeout=0.5)
-            except Empty:
-                # A silent pool may just be slow — or a worker died and
-                # its task is gone for good. Health-check, and respawn +
-                # re-dispatch the whole wave when a death is detected
-                # (the terminated pool drops its queue, so at most one
-                # stale duplicate per point can still arrive).
-                if self.pool.reap_dead():
-                    log_event(server_logger, logging.WARNING,
-                              "pool_worker_died", job=job.id,
-                              redispatched=len(inflight),
-                              deaths=self.pool.deaths_detected)
-                    self._m_worker_deaths.inc()
-                    for task in inflight.values():
-                        dispatch(task)
-                continue
-            if isinstance(outcome, BaseException):
-                raise outcome
-            idx, values, dt, _snap = outcome
-            if inflight.pop(idx, None) is None:
-                continue  # duplicate from a pre-respawn dispatch
-            results[idx] = values
-            point_elapsed[idx] = dt
-            executed.append(idx)
-            params = {k: v for k, v in points[idx].items() if k != "seed"}
-            job.publish_point(idx, params, values)
-            if job.cancelled and not inflight:
-                return False
-
-    def _maybe_reap_abandoned(self, job: Job) -> None:
-        """Cancel a running job whose last streaming client vanished
-        more than ``abandon_timeout_s`` ago — a disconnect without a
-        cancel must expire the lease, not leak pool capacity forever.
-        Jobs with any attached subscriber (coalesced survivors) and
-        detach-submitted jobs never accrue abandonment time."""
+    def _job_stopped(self, job: Job) -> bool:
+        """The dispatch loop's stop check: is ``job`` cancelled? First
+        reaps it when its last streaming client vanished more than
+        ``abandon_timeout_s`` ago — a disconnect without a cancel must
+        expire the lease, not leak pool capacity. Jobs with an attached
+        subscriber (coalesced survivors) and detach-submitted jobs
+        never accrue abandonment time."""
         timeout = self.abandon_timeout_s
-        if timeout is None or job.cancelled:
-            return
-        idle = job.abandoned_for(self._clock())
-        if idle <= timeout:
-            return
-        log_event(server_logger, logging.WARNING, "job_reaped",
-                  job=job.id, request_key=job.key, idle_s=round(idle, 3),
-                  timeout_s=timeout)
-        self._m_reaped.inc()
-        job.cancel()
-
-    def _store_fresh(self, sc, indices, results, point_elapsed,
-                     cache_keys, cost_keys) -> None:
-        for i in indices:
-            if results[i] is None:
-                continue
-            if self.point_cache is not None and cache_keys[i] is not None:
-                self.point_cache.store(sc.name, cache_keys[i], results[i])
-            if self.timings is not None and i in cost_keys:
-                self.timings.record(cost_keys[i], point_elapsed[i])
-        if self.timings is not None:
-            self.timings.flush()
+        if timeout is not None and not job.cancelled:
+            idle = job.abandoned_for(self._clock())
+            if idle > timeout:
+                log_event(server_logger, logging.WARNING, "job_reaped",
+                          job=job.id, request_key=job.key,
+                          idle_s=round(idle, 3), timeout_s=timeout)
+                self._m_reaped.inc()
+                job.cancel()
+        return job.cancelled
 
     def _finish_with_result(self, job: Job, result, cache_hit: bool = False) -> None:
         job.finish_done(result, result.pretty_json(), result.sha256(),
                         cache_hit=cache_hit)
         self._m_jobs.inc(outcome="done")
-
-    # -- context manager ------------------------------------------------------
-    def __enter__(self) -> "ReproServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()

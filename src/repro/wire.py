@@ -22,6 +22,7 @@ __all__ = [
     "ProtocolError",
     "decode",
     "encode",
+    "read_bounded",
     "read_events",
     "recv_msg",
     "send_msg",
@@ -40,7 +41,7 @@ class ProtocolError(ValueError):
     """Malformed frames or structurally invalid requests."""
 
 
-def _read_bounded(stream) -> Union[bytes, str]:
+def read_bounded(stream) -> Union[bytes, str]:
     """One ``readline`` capped at the frame bound. Returns the raw line
     (empty at EOF); raises :class:`ProtocolError` when the peer sent
     more than :data:`MAX_FRAME_BYTES` without a newline."""
@@ -51,10 +52,6 @@ def _read_bounded(stream) -> Union[bytes, str]:
             f"without a line terminator"
         )
     return line
-
-
-def _has_terminator(line: Union[bytes, str]) -> bool:
-    return line.endswith(b"\n" if isinstance(line, bytes) else "\n")
 
 
 def encode(msg: Mapping[str, Any]) -> bytes:
@@ -85,7 +82,7 @@ def read_events(stream) -> Iterator[dict[str, Any]]:
     end at EOF — but an over-long line raises :class:`ProtocolError`.
     """
     while True:
-        line = _read_bounded(stream)
+        line = read_bounded(stream)
         if not line:
             return
         if line.strip():
@@ -107,10 +104,10 @@ def recv_msg(stream) -> dict[str, Any]:
     frame — the peer died mid-write — and is rejected rather than
     parsed, since a prefix of a JSON object can itself be valid JSON.
     """
-    line = _read_bounded(stream)
+    line = read_bounded(stream)
     if not line:
         raise ProtocolError("connection closed by peer")
-    if not _has_terminator(line):
+    if not line.endswith(b"\n" if isinstance(line, bytes) else "\n"):
         raise ProtocolError(
             "truncated frame: connection closed mid-line"
         )

@@ -55,6 +55,35 @@ def test_sweep_survives_sigkilled_worker():
     assert result.sha256() == serial.sha256()
 
 
+def test_concurrent_sweeps_on_one_pool_both_survive_a_kill():
+    """Whichever sweep detects the death tears the shared pool down,
+    which drops the other sweep's queued tasks too; that sweep must
+    notice and re-dispatch instead of waiting forever."""
+    serial = {s: run_sweep("_death_slow", seed=s, workers=1) for s in (1, 2)}
+    results = {}
+    with SweepPool(2) as pool:
+        run_sweep("_death_slow", {"k": [0, 1], "delay_s": 0.0}, pool=pool)
+        victims = pool.worker_pids()
+        threads = [
+            threading.Thread(
+                target=lambda s=s: results.__setitem__(
+                    s, run_sweep("_death_slow", seed=s, pool=pool)),
+                daemon=True)
+            for s in (1, 2)
+        ]
+        for t in threads:
+            t.start()
+        time.sleep(0.4)
+        os.kill(victims[0], signal.SIGKILL)
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads), (
+            "a sweep sharing the pool hung after the other reset it")
+        assert pool.deaths_detected >= 1
+    for s in (1, 2):
+        assert results[s].sha256() == serial[s].sha256()
+
+
 def test_reap_dead_is_quiet_on_a_healthy_pool():
     with SweepPool(2) as pool:
         assert not pool.reap_dead()  # not even started

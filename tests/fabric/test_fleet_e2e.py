@@ -179,6 +179,42 @@ def test_coordinator_register_rejects_foreign_key(tmp_path):
         coord.close()
 
 
+def test_oversized_frame_is_refused_and_coordinator_keeps_serving(monkeypatch):
+    import socket as socket_mod
+
+    from repro import wire
+
+    coord = FleetCoordinator("_fleet_synth", port=0,
+                             no_worker_timeout_s=10.0).start()
+    try:
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
+        frame = wire.encode({"type": "register", "worker": "flood",
+                             "capacity": 1, "pad": "x" * 4096})
+        sock = socket_mod.create_connection(("127.0.0.1", coord.port))
+        reply = b""
+        try:
+            sock.sendall(frame)
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except OSError:
+            pass  # reset: the coordinator refused the frame and hung up
+        finally:
+            sock.close()
+        assert b"registered" not in reply and b"reregister" not in reply
+        assert reply == b"" or b"oversized frame" in reply
+        assert coord.tracker.live_workers() == []
+
+        monkeypatch.undo()  # the registered reply is longer than 64 bytes
+        sock = socket_mod.create_connection(("127.0.0.1", coord.port))
+        stream = sock.makefile("rwb")
+        wire.send_msg(stream, {"type": "register", "worker": "w0",
+                               "capacity": 1, "request_key": coord.key})
+        assert wire.recv_msg(stream)["type"] == "registered"
+        sock.close()
+    finally:
+        coord.close()
+
+
 def test_point_cache_prefill_keeps_bytes_identical(tmp_path):
     serial = serial_sha("_fleet_synth", None, runctx.current())
     cache_dir = tmp_path / "cache"

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro import wire
 from repro.cli import main as cli_main
 from repro.experiments import run_sweep, save_sweep
 from repro.serve import (
@@ -142,6 +143,35 @@ def test_malformed_and_invalid_requests_get_error_events(server, address):
     assert bad_grid[-1]["event"] == "error"
     # The daemon survived all of it.
     assert wait_for_server(address, timeout=5)
+
+
+def _send_raw(path, data):
+    """Send raw bytes on a fresh connection; everything the daemon
+    wrote back before closing (empty when it reset the connection)."""
+    import socket as socket_mod
+
+    sock = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
+    sock.connect(str(path))
+    reply = b""
+    try:
+        sock.sendall(data)
+        while chunk := sock.recv(65536):
+            reply += chunk
+    except OSError:
+        pass  # reset: the daemon refused the frame and hung up
+    finally:
+        sock.close()
+    return reply
+
+
+def test_oversized_frame_is_refused_and_daemon_keeps_serving(
+        server, address, monkeypatch):
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
+    reply = _send_raw(server.socket_path,
+                      b'{"verb":"ping","pad":"' + b"x" * 4096 + b'"}\n')
+    assert b"pong" not in reply
+    assert reply == b"" or b"oversized frame" in reply
+    assert request_one(address, {"verb": "ping"})["event"] == "pong"
 
 
 def test_detach_then_poll_status_for_payload(server, address):

@@ -234,6 +234,19 @@ def test_finished_job_releases_key_but_keeps_status_row(table):
     assert states[fresh.id] == jobs_mod.QUEUED
 
 
+def test_finished_but_unreleased_job_is_not_a_coalescing_target(table):
+    job, _ = table.admit(REQ)
+    job.mark_running()
+    job.finish_done(SimpleNamespace(executed_points=6, cached_points=0),
+                    "{}\n", "cd" * 32)
+    # The executor has not released the key yet: a resubmit must start
+    # a fresh job (a cache hit) instead of replaying the finished one.
+    fresh, created = table.admit(REQ)
+    assert created and fresh is not job
+    table.release(job)  # the late release leaves the fresh job live
+    assert table.admit(REQ) == (fresh, False)
+
+
 def test_stale_release_never_evicts_a_newer_job(table):
     job, _ = table.admit(REQ)
     table.release(job)

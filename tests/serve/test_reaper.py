@@ -8,6 +8,7 @@ streaming client has been gone for ``abandon_timeout_s``. Detached
 submits and jobs with any remaining coalesced subscriber are exempt.
 """
 
+import socket
 import threading
 import time
 
@@ -26,7 +27,11 @@ def _submit_and_abandon(srv, overrides):
     stream.flush()
     accepted = protocol.decode(stream.readline())
     assert accepted["event"] == "accepted"
-    sock.close()  # vanish: no cancel, no clean goodbye
+    # Vanish: no cancel, no clean goodbye. shutdown() ends the stream
+    # the way a remote client's exit does; close() alone would not, as
+    # pool workers forked while the socket was open hold a duplicate.
+    sock.shutdown(socket.SHUT_RDWR)
+    sock.close()
     job = srv.table.get(accepted["job"])
     assert job is not None
     return job
