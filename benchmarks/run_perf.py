@@ -596,7 +596,7 @@ def run_sweep_bench(pairs: int, smoke: bool) -> tuple[dict, bool]:
     from repro.experiments import run_sweep
     from repro.experiments.cache import cached_sweep
     from repro.experiments.pool import SweepPool
-    from repro.experiments.shard import merge_shards, run_shard, write_shard
+    from repro.experiments.driver import merge_shards, run_shard
 
     ok = True
     results: dict = {}
@@ -690,10 +690,9 @@ def run_sweep_bench(pairs: int, smoke: bool) -> tuple[dict, bool]:
             with _modes(engine_reference=eng_ref, model_reference=mod_ref):
                 serial = run_sweep("fig8", overrides, workers=1)
                 with tempfile.TemporaryDirectory() as td:
-                    dirs = []
-                    for i in range(4):
-                        manifest = run_shard("fig8", i, 4, overrides, workers=1)
-                        dirs.append(write_shard(manifest, Path(td) / f"s{i}").parent)
+                    dirs = [Path(td) / f"s{i}" for i in range(4)]
+                    for i, shard_dir in enumerate(dirs):
+                        run_shard("fig8", i, 4, shard_dir, overrides, workers=1)
                     merged = merge_shards(dirs)
             label = (f"engine_{'reference' if eng_ref else 'fast'}"
                      f"_model_{'reference' if mod_ref else 'thin'}")

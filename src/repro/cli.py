@@ -183,9 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "cache fits in B bytes")
     ps.add_argument("--shard", default=None, metavar="I/N",
                     help="run only shard I of N (deterministic round-robin "
-                         "partition) and write a shard manifest to --out")
+                         "partition) into a shard journal in --out; a re-run "
+                         "resumes it")
     ps.add_argument("--merge", type=Path, nargs="+", default=None, metavar="DIR",
-                    help="merge shard manifests from DIR... into one result, "
+                    help="merge shard journals from DIR... into one result, "
                          "byte-identical to a serial run")
     ps.add_argument("--compare", type=Path, default=None, metavar="DIR",
                     help="diff the fresh series against <DIR>/<scenario>.json "
@@ -546,12 +547,11 @@ def _cmd_sweep(args, out) -> int:
     # traceback.
     from repro.experiments.cache import cached_sweep, prune_cache
     from repro.experiments.compare import compare_result_to_dir
-    from repro.experiments.shard import (
+    from repro.experiments.driver import (
         ShardError,
         merge_shards,
         parse_shard_spec,
         run_shard,
-        write_shard,
     )
 
     cache_dir = args.cache_dir if args.cache_dir is not None else args.out / ".cache"
@@ -568,9 +568,9 @@ def _cmd_sweep(args, out) -> int:
         return 2
     if args.shard is not None and (args.compare or args.cache or args.no_save):
         # Refuse rather than silently ignore: a shard produces a partial
-        # manifest, so there is nothing to compare/cache, and writing
-        # the manifest is its entire purpose.
-        print("error: --shard only writes a shard manifest; --compare/"
+        # journal, so there is nothing to compare/cache, and writing
+        # the journal is its entire purpose.
+        print("error: --shard only writes a shard journal; --compare/"
               "--cache/--no-save apply to full sweeps or --merge", file=out)
         return 2
 
@@ -599,12 +599,12 @@ def _cmd_sweep(args, out) -> int:
             print(f"error: {msg}", file=out)
             return 2
         if args.shard is not None:
-            manifest = run_shard(scenario, index, count, workers=args.workers)
-            path = write_shard(manifest, args.out)
+            ledger = run_shard(scenario, index, count, args.out,
+                               workers=args.workers)
             print(f"shard {index}/{count} of {scenario.name}: ran "
-                  f"{len(manifest['point_indices'])} of "
-                  f"{len(scenario.points())} points in "
-                  f"{manifest['elapsed_s']:.2f}s, wrote {path}", file=out)
+                  f"{len(ledger.fresh)} point(s), {ledger.prefilled} resumed "
+                  f"from the journal, of {ledger.total}; wrote "
+                  f"{ledger.journal.path}", file=out)
             print("merge a complete set with: repro sweep --merge DIR...",
                   file=out)
             return 0

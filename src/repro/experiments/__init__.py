@@ -18,9 +18,10 @@ Public surface:
   overrides the start method).
 - :func:`~repro.experiments.cache.cached_sweep` — whole-sweep *and*
   per-point result caching; incremental re-sweeps after grid tweaks.
-- :func:`~repro.experiments.shard.run_shard` /
-  :func:`~repro.experiments.shard.merge_shards` — cross-host sharded
-  sweeps that merge byte-identically to a serial run.
+- :func:`~repro.experiments.driver.run_shard` /
+  :func:`~repro.experiments.driver.merge_shards` — cross-host sharded
+  sweeps: each shard writes a ledger journal, and a merge prefills one
+  ledger from them, byte-identically to a serial run.
 - :func:`~repro.experiments.persistence.save_sweep` — JSON/CSV under
   ``results/``.
 
@@ -47,14 +48,6 @@ from repro.experiments.registry import (
     scenario_names,
 )
 from repro.experiments.scenario import GridError, Scenario, parse_grid_overrides
-from repro.experiments.shard import (
-    ShardError,
-    merge_shards,
-    parse_shard_spec,
-    run_shard,
-    shard_indices,
-    write_shard,
-)
 
 __all__ = [
     "DEFAULT_RESULTS_DIR",
@@ -62,7 +55,6 @@ __all__ = [
     "GridError",
     "PointCache",
     "Scenario",
-    "ShardError",
     "SweepLedger",
     "SweepPool",
     "SweepResult",
@@ -72,19 +64,14 @@ __all__ = [
     "close_shared_pools",
     "compare_result_to_dir",
     "get_scenario",
-    "merge_shards",
     "parse_grid_overrides",
-    "parse_shard_spec",
     "point_key",
     "prune_cache",
     "register",
     "request_key",
-    "run_shard",
     "run_sweep",
     "save_sweep",
     "scenario_names",
-    "shard_indices",
     "shared_pool",
     "sweep_csv",
-    "write_shard",
 ]

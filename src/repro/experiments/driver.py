@@ -26,15 +26,19 @@ policy is decided: point-cache hits skip execution, recorded timings
 order dispatch longest-first, and every path assembles through
 :func:`build_result`. Parallel sweeps run on a persistent
 :class:`~repro.experiments.pool.SweepPool` shared across sweeps.
+A cross-host shard (:func:`run_shard`) is a ledger journal, and
+:func:`merge_shards` prefills one ledger from a set of them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Optional, Union
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro import runctx
 from repro.analysis.series import Series
@@ -50,7 +54,19 @@ from repro.experiments.registry import get_scenario
 from repro.experiments.scenario import Scenario
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["SweepLedger", "SweepResult", "build_result", "run_sweep"]
+if TYPE_CHECKING:
+    from repro.fabric.journal import Journal
+
+__all__ = [
+    "ShardError",
+    "SweepLedger",
+    "SweepResult",
+    "build_result",
+    "merge_shards",
+    "parse_shard_spec",
+    "run_shard",
+    "run_sweep",
+]
 
 
 @dataclass
@@ -198,12 +214,14 @@ class SweepLedger:
     journal and assembly policy is decided.
 
     :func:`run_sweep`, :func:`~repro.experiments.cache.cached_sweep`,
-    the shard runner and merger, the serve daemon and the fleet
-    coordinator all fill a ledger and assemble through it:
+    :func:`merge_shards`, the serve daemon and the fleet coordinator
+    all fill a ledger and assemble through it; :func:`run_shard` fills
+    one part of a ledger and keeps its journal as the output:
 
     - :meth:`prefill` reads the durable sources in precedence order:
       the whole-sweep cache (a hit is returned and nothing else is
-      read), then the journal to resume, then the point cache;
+      read), then the journal to resume (a coordinator's or a shard's),
+      then the point cache;
     - :meth:`pending` orders the missing points longest recorded cost
       first when a timing store is present;
     - :meth:`accept` takes results first-wins and journals each one;
@@ -212,19 +230,19 @@ class SweepLedger:
       :func:`build_result`, stores the whole sweep, removes the journal.
 
     ``cache_dir`` adds the whole-sweep cache and, unless passed in, a
-    point cache and timing store beside it; ``journal`` is duck-typed
-    as :class:`repro.fabric.journal.Journal`.
+    point cache and timing store beside it; :meth:`journal_at` attaches
+    a :class:`repro.fabric.journal.Journal`.
     """
 
     def __init__(self, sc: Scenario, ctx: runctx.RunContext, *,
                  key: Optional[str] = None, cache_dir=None,
-                 point_cache=None, timings=None, journal=None):
+                 point_cache=None, timings=None):
         if cache_dir is not None:
             point_cache = PointCache(cache_dir) if point_cache is None else point_cache
             timings = TimingStore(cache_dir) if timings is None else timings
         self.scenario, self.ctx, self._key = sc, ctx, key
         self.cache_dir, self.point_cache, self.timings = cache_dir, point_cache, timings
-        self.journal = journal
+        self.journal = None
         self.points = sc.points()
         self.total = len(self.points)
         self.results: list[Optional[dict[str, float]]] = [None] * self.total
@@ -243,10 +261,26 @@ class SweepLedger:
             self._key = request_key(self.scenario, self.ctx)
         return self._key
 
+    def journal_at(self, path) -> "Journal":
+        """Attach a :class:`~repro.fabric.journal.Journal` at ``path``.
+        Its header carries the key and the readable request, so
+        :func:`merge_shards` can rebuild the sweep from it."""
+        from repro.fabric.journal import Journal  # fabric imports this module
+
+        sc, ctx = self.scenario, self.ctx
+        self.journal = Journal(Path(path), self.key, sc.name, self.total, request={
+            "seed": sc.seed,
+            "grid": {k: list(v) for k, v in sc.grid.items()},
+            "defaults": dict(sc.defaults),
+            "reference_engine": ctx.engine_reference,
+            "reference_model": ctx.model_reference,
+        })
+        return self.journal
+
     def restore(self, index: int, values: Mapping[str, float],
                 elapsed_s: Optional[float] = None) -> None:
-        """Fill one point from a durable record (a journal line, a shard
-        manifest); it counts as prefilled and is never stored again."""
+        """Fill one point from a durable record (a journal line); it
+        counts as prefilled and is never stored again."""
         if self.results[index] is None:
             self.results[index], self.elapsed[index] = dict(values), elapsed_s
             self.prefilled += 1
@@ -360,7 +394,7 @@ def dispatch_tasks(
     pool: Optional[SweepPool],
 ):
     """The one serial-vs-pooled execution split every offline sweep
-    path uses (``run_sweep``, ``cached_sweep`` and ``shard.run_shard``).
+    path uses (``run_sweep``, ``cached_sweep`` and ``run_shard``).
     Returns ``(start_method, iterator of (index, values, elapsed_s,
     metrics))``: in-process execution for one worker or a single task
     (``start_method`` None), otherwise a persistent pool — the one
@@ -435,6 +469,124 @@ def run_sweep(
     ledger.prefill()
     return ledger.execute(workers, pool, progress=progress,
                           collect_metrics=collect_metrics)
+
+
+class ShardError(ValueError):
+    """A malformed shard spec, an unreadable journal, or an unsafe merge."""
+
+
+def parse_shard_spec(text: str) -> tuple[int, int]:
+    """Parse ``I/N`` (shard index ``I`` of ``N``, zero-based)."""
+    head, sep, tail = text.partition("/")
+    if sep and head.isdigit() and tail.isdigit() and int(head) < int(tail):
+        return int(head), int(tail)
+    raise ShardError(f"malformed --shard {text!r}; expected I/N with "
+                     f"0 <= I < N, e.g. 0/4")
+
+
+_SHARD_NAME = re.compile(r"(.+)\.shard-(\d+)-of-(\d+)\.jsonl")
+
+
+def run_shard(
+    scenario: Union[str, Scenario],
+    index: int,
+    count: int,
+    outdir,
+    overrides: Optional[Mapping[str, Any]] = None,
+    *,
+    seed: Optional[int] = None,
+    workers: int = 1,
+    pool: Optional[SweepPool] = None,
+) -> SweepLedger:
+    """Run the points ``j % count == index`` (round-robin, so a heavy
+    grid tail spreads across shards) into the journal
+    ``outdir/<scenario>.shard-<index>-of-<count>.jsonl``, the shard's
+    output: closed, not removed. A journal of the same request left by
+    a killed run is resumed, so only its missing points run. Returns
+    the ledger.
+    """
+    if not 0 <= index < count:
+        raise ShardError(f"invalid shard {index}/{count}")
+    sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
+    ledger = SweepLedger(sc.with_overrides(overrides, seed=seed), runctx.current())
+    journal = ledger.journal_at(
+        Path(outdir) / f"{sc.name}.shard-{index}-of-{count}.jsonl")
+    ledger.prefill()
+    try:
+        tasks = [t for t in ledger.tasks() if t[1] % count == index]
+        _, stream = dispatch_tasks(ledger.scenario, tasks, workers, pool)
+        for j, values, dt, _snap in stream:
+            ledger.accept(j, values, dt)
+    finally:
+        journal.close()
+    return ledger
+
+
+def merge_shards(dirs: Sequence[Path]) -> SweepResult:
+    """Reassemble a complete shard set into one :class:`SweepResult`,
+    byte-identical to a serial run: rebuild the sweep from the journal
+    header, recompute its request key, prefill one ledger from every
+    journal (:meth:`SweepLedger.restore`) and assemble it. Shards of
+    another seed, mode, grid or code version are a key mismatch; any
+    inconsistency raises :class:`ShardError`.
+    """
+    from repro.fabric.journal import read_journal  # fabric imports this module
+
+    header: dict[str, Any] = {}
+    shards: dict[int, dict] = {}
+    for d in dirs:
+        found = [(p, m) for p in sorted(Path(d).glob("*.jsonl"))
+                 if (m := _SHARD_NAME.fullmatch(p.name))]
+        if not found:
+            raise ShardError(f"no shard journals (*.shard-I-of-N.jsonl) in {d}")
+        for path, name in found:
+            try:
+                head, points = read_journal(path)
+            except (OSError, ValueError) as exc:
+                raise ShardError(f"unreadable shard journal {path}: {exc}") from None
+            head["shard_count"] = int(name[3])
+            header = header or head
+            differ = sorted(k for k in head.keys() | header.keys()
+                            if head.get(k) != header.get(k))
+            if differ:
+                raise ShardError(
+                    f"shard mismatch on {', '.join(differ)}: {path} is not "
+                    f"of the first journal's sweep request; refusing to merge")
+            if int(name[2]) in shards:
+                raise ShardError(f"duplicate shard {name[2]}/{name[3]}: {path}")
+            shards[int(name[2])] = points
+    count = header["shard_count"]
+    missing = sorted(set(range(count)) - set(shards))
+    if missing:
+        raise ShardError(f"incomplete shard set for {header['scenario']!r}: "
+                         f"missing shard(s) {missing} of {count}")
+    try:
+        base = get_scenario(header["scenario"])
+        # Canonical point order is row-major over the declared grid
+        # order; the header's keys are sorted, so rebuild in that order.
+        sc = replace(base, grid={k: tuple(header["grid"][k]) for k in base.grid},
+                     defaults=dict(header["defaults"]), seed=int(header["seed"]))
+        ledger = SweepLedger(sc, runctx.RunContext(
+            engine_reference=header["reference_engine"],
+            model_reference=header["reference_model"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ShardError(f"cannot rebuild the sweep from its journal "
+                         f"header: {exc!r}") from None
+    if ledger.key != header["request_key"]:
+        raise ShardError(
+            f"request-key mismatch for {sc.name!r}: the shards ran under "
+            f"other code or calibration than this checkout; re-run them or "
+            f"merge on a matching checkout")
+    for points in shards.values():
+        for j, (values, elapsed) in points.items():
+            ledger.restore(j, values, elapsed)
+    absent = ledger.pending()
+    if absent:
+        raise ShardError(
+            f"no values for point(s) {absent}; re-run shard(s) "
+            f"{sorted({j % count for j in absent})} of {count} to resume them")
+    # Nothing ran here (workers 0): the shards' point time is the sweep's.
+    return ledger.result(workers=0, elapsed_s=sum(e for e in ledger.elapsed if e))
 
 
 def build_result(

@@ -35,7 +35,8 @@ fake-clock unit-testable):
 
 - :mod:`repro.fabric.protocol` — fleet wire messages on
   :mod:`repro.wire`;
-- :mod:`repro.fabric.journal` — the coordinator's completion journal;
+- :mod:`repro.fabric.journal` — the sweep journal (coordinator resume,
+  shard output);
 - :mod:`repro.fabric.tracker` — lease/retry/speculation state machine;
 - :mod:`repro.fabric.coordinator` — the network coordinator;
 - :mod:`repro.fabric.worker` — the worker client;

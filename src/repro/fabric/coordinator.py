@@ -32,12 +32,10 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
 from repro import runctx
-from repro.experiments.cache import request_key
 from repro.experiments.driver import SweepLedger, SweepResult
 from repro.experiments.registry import get_scenario
 from repro.experiments.scenario import Scenario
 from repro.fabric import protocol
-from repro.fabric.journal import Journal
 from repro.fabric.tracker import SweepTracker, TrackerConfig
 from repro.netserve import LineServer
 from repro.serve.logs import log_event
@@ -129,15 +127,11 @@ class FleetCoordinator(LineServer):
         self.linger_s = linger_s
         self.chaos = chaos
         self._clock = clock
-        self.key = request_key(self.scenario, self.ctx)
-        self.points = self.scenario.points()
-        self.total = len(self.points)
-        self.journal: Optional[Journal] = None
-        if journal_path is not None:
-            self.journal = Journal(Path(journal_path), self.key,
-                                   self.scenario.name, self.total)
-        self.ledger = SweepLedger(self.scenario, self.ctx, key=self.key,
-                                  cache_dir=cache_dir, journal=self.journal)
+        self.ledger = SweepLedger(self.scenario, self.ctx, cache_dir=cache_dir)
+        self.key, self.points, self.total = (
+            self.ledger.key, self.ledger.points, self.ledger.total)
+        self.journal = (None if journal_path is None
+                        else self.ledger.journal_at(journal_path))
 
         # Durable sources are read before any worker can connect. After
         # a whole-sweep hit the listener still binds, so eager workers
@@ -148,7 +142,7 @@ class FleetCoordinator(LineServer):
             config=self.config, clock=clock)
         for index, values in enumerate(self.ledger.results):
             if values is not None:
-                self.tracker.prefill(index, values, self.ledger.elapsed[index])
+                self.tracker.prefill(index)
 
         self.error: Optional[str] = None
         self.crashed = False
@@ -266,7 +260,7 @@ class FleetCoordinator(LineServer):
     def _frame_result(self, msg: dict[str, Any]) -> Optional[dict[str, Any]]:
         index = msg["index"]
         accepted = self.tracker.report_result(
-            msg["worker"], index, msg["values"], msg["elapsed_s"])
+            msg["worker"], index, msg["elapsed_s"])
         if accepted:
             self.ledger.accept(index, msg["values"], msg["elapsed_s"])
             if self._chaos_crash_due():

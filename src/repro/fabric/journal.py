@@ -1,27 +1,27 @@
-"""The coordinator's completion journal: crash → resume, not re-run.
+"""The sweep journal: crash → resume, not re-run.
 
-One JSONL file per sweep: a header line binding the journal to its
-request key, then one line per accepted point. The coordinator appends
-(and flushes) a line the moment a point's result is accepted, so after
-a coordinator crash the replacement process replays the journal and
-re-enqueues only the points that never completed. On a successful
-finish the journal is removed — a lingering journal always means an
-unfinished sweep.
+One JSONL file per sweep: a header line carrying the request key and
+the readable request (scenario, grid, defaults, seed, both modes), then
+one line per accepted point, appended and fsynced the moment the point
+is accepted. The fleet coordinator (``--journal``) replays it after a
+crash and removes it on success. A static shard (``repro sweep --shard
+I/N``) keeps it as its output: a re-run resumes it, and ``repro sweep
+--merge`` rebuilds the sweep from the header and prefills one ledger
+from every shard's journal. A lingering journal is an unfinished
+coordinator sweep or a shard's result.
 
-Resume safety rules:
+Reading rules (:func:`read_journal`):
 
-- the header's ``request_key`` must match the resuming coordinator's
-  key exactly; a mismatched journal is *stale* (code changed, grid
-  changed, seed changed — any of which makes its values unusable) and
-  is discarded, not merged;
-- a torn final line (the crash landed mid-write) is dropped silently —
-  at worst one point re-runs, and re-running a pure point is free of
-  consequence;
+- a reader checks only the header's ``format`` and ``request_key``: a
+  journal of another key (code, grid, seed or modes changed) is
+  discarded as *stale* on resume and refused by a merge;
+- a torn final line (the crash landed mid-write) is dropped — a resume
+  re-runs that point, a merge names it as missing;
 - duplicate indices keep the first occurrence, mirroring the
   tracker's first-result-wins acceptance.
 
-Values round-trip through JSON ``repr`` exactly, so a resumed sweep's
-final bytes are identical to an uninterrupted one.
+Values round-trip through JSON ``repr`` exactly, so a resumed or merged
+sweep's final bytes are identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -33,22 +33,54 @@ from typing import Any, Mapping, Optional, TextIO
 
 from repro.wire import encode
 
-__all__ = ["Journal"]
+__all__ = ["Journal", "read_journal"]
 
 _JOURNAL_FORMAT = 1
+
+
+Points = dict[int, tuple[dict[str, float], Optional[float]]]
+
+
+def read_journal(path: Path) -> tuple[dict[str, Any], Points]:
+    """Parse one journal into its header and its points (index ->
+    ``(values, elapsed_s)``). Raises ``OSError`` or ``ValueError`` when
+    the file or its header cannot be read."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0]) if lines else None
+    if (not isinstance(header, dict)
+            or header.get("format") != _JOURNAL_FORMAT
+            or not isinstance(header.get("total"), int)):
+        raise ValueError(f"{path}: not a format-{_JOURNAL_FORMAT} journal")
+    points: Points = {}
+    for line in lines[1:]:
+        try:
+            row = json.loads(line)
+        except ValueError:
+            continue  # torn tail from a mid-write crash
+        if (not isinstance(row, dict) or "index" not in row
+                or not isinstance(row.get("values"), dict)):
+            continue
+        index = row["index"]
+        if (isinstance(index, int) and 0 <= index < header["total"]
+                and index not in points):
+            points[index] = (row["values"], row.get("elapsed_s"))
+    return header, points
 
 
 class Journal:
     """Append-only record of accepted points for one sweep."""
 
-    def __init__(self, path: Path, request_key: str, scenario: str, total: int):
+    def __init__(self, path: Path, request_key: str, scenario: str, total: int,
+                 request: Mapping[str, Any] = ()):
         self.path = Path(path)
         self.request_key = request_key
         self.scenario = scenario
         self.total = total
+        #: The readable request the header carries beside the key.
+        self.request = dict(request)
         self._fh: Optional[TextIO] = None
-        #: Points recovered from a prior coordinator's journal.
-        self.resumed: dict[int, tuple[dict[str, float], Optional[float]]] = {}
+        #: Points recovered from a prior run's journal.
+        self.resumed: Points = {}
         #: True when a journal existed but belonged to a different
         #: request (stale) and was discarded.
         self.discarded_stale = False
@@ -62,6 +94,7 @@ class Journal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("w", encoding="utf-8")
         self._write_line({
+            **self.request,
             "format": _JOURNAL_FORMAT,
             "request_key": self.request_key,
             "scenario": self.scenario,
@@ -73,34 +106,16 @@ class Journal:
 
     def _load_existing(self) -> None:
         try:
-            text = self.path.read_text(encoding="utf-8")
+            header, points = read_journal(self.path)
         except (OSError, UnicodeDecodeError):
             return
-        lines = text.splitlines()
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
         except ValueError:
             self.discarded_stale = True
             return
-        if (not isinstance(header, dict)
-                or header.get("format") != _JOURNAL_FORMAT
-                or header.get("request_key") != self.request_key):
+        if header.get("request_key") != self.request_key:
             self.discarded_stale = True
             return
-        for line in lines[1:]:
-            try:
-                row = json.loads(line)
-            except ValueError:
-                continue  # torn tail from a mid-write crash
-            if (not isinstance(row, dict) or "index" not in row
-                    or not isinstance(row.get("values"), dict)):
-                continue
-            index = row["index"]
-            if (isinstance(index, int) and 0 <= index < self.total
-                    and index not in self.resumed):
-                self.resumed[index] = (row["values"], row.get("elapsed_s"))
+        self.resumed = points
 
     def record(
         self, index: int, values: Mapping[str, float],

@@ -121,8 +121,9 @@ class SweepTracker:
         self._clock = clock
         self._queue: deque[int] = deque(order)
         self._queued: set[int] = set(self._queue)
-        #: index -> (values, elapsed_s) for accepted points.
-        self.completed: dict[int, tuple[dict[str, float], Optional[float]]] = {}
+        #: Indices of accepted and prefilled points; their values live
+        #: in the coordinator's ledger.
+        self.completed: set[int] = set()
         #: index -> (worker, attempt, was_speculative): the ledger every
         #: exactly-once assertion checks — exactly one entry per point.
         self.accepted: dict[int, tuple[str, int, bool]] = {}
@@ -163,13 +164,12 @@ class SweepTracker:
     def live_workers(self) -> list[str]:
         return [w.name for w in self._workers.values() if w.alive]
 
-    def prefill(self, index: int, values: dict[str, float],
-                elapsed_s: Optional[float] = None) -> None:
+    def prefill(self, index: int) -> None:
         """Mark a point complete from outside the fleet (journal resume
         or point cache) — it will never be leased."""
         if index in self.completed:
             return
-        self.completed[index] = (values, elapsed_s)
+        self.completed.add(index)
         self._queued.discard(index)  # lazily skipped at grant time too
         self.prefilled += 1
 
@@ -279,8 +279,7 @@ class SweepTracker:
 
     # -- results -------------------------------------------------------------
     def report_result(
-        self, name: str, index: int, values: dict[str, float],
-        elapsed_s: Optional[float],
+        self, name: str, index: int, elapsed_s: Optional[float],
     ) -> bool:
         """Accept (or dedup) one delivered point; True when accepted.
 
@@ -299,7 +298,7 @@ class SweepTracker:
         if not 0 <= index < self.total:
             self.counters["duplicates"] += 1
             return False
-        self.completed[index] = (values, elapsed_s)
+        self.completed.add(index)
         speculative = bool(entry and entry[2])
         self.accepted[index] = (name, self._attempts.get(index, 1), speculative)
         if speculative:

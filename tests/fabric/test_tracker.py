@@ -29,7 +29,7 @@ def make(total=6, **cfg):
 
 
 def accept(tracker, worker, index, elapsed=1.0):
-    return tracker.report_result(worker, index, {"y": float(index)}, elapsed)
+    return tracker.report_result(worker, index, elapsed)
 
 
 def test_lease_grant_respects_batch_and_capacity():
@@ -217,8 +217,8 @@ def test_speculation_needs_enough_samples():
 
 def test_prefilled_points_are_never_leased():
     tracker, _ = make(total=4)
-    tracker.prefill(0, {"y": 0.0})
-    tracker.prefill(1, {"y": 1.0})
+    tracker.prefill(0)
+    tracker.prefill(1)
     tracker.register("w0", capacity=4)
     _, grant = tracker.heartbeat("w0", free=4)
     assert grant == [2, 3]
@@ -258,5 +258,5 @@ def test_accounting_is_exactly_once_under_a_messy_schedule():
 def test_out_of_range_results_are_dropped(bad):
     tracker, _ = make(total=4)
     tracker.register("w0", capacity=1)
-    assert tracker.report_result("w0", bad, {"y": 0.0}, 0.1) is False
+    assert tracker.report_result("w0", bad, 0.1) is False
     assert tracker.counters["duplicates"] == 1

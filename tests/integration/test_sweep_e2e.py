@@ -67,14 +67,13 @@ def test_full_fig8_grid_sharded_across_pools(tmp_path):
     """Cross-host workflow on the paper's full Fig-8 grid: 3 shards run
     independently (as three hosts would), each on its own worker pool,
     then merge byte-identically to the serial acceptance sweep."""
-    from repro.experiments import merge_shards, run_shard, write_shard
+    from repro.experiments.driver import merge_shards, run_shard
 
     overrides = {"samples": 1e10}
     serial = run_sweep("fig8", overrides, workers=1)
-    dirs = []
-    for i in range(3):
-        manifest = run_shard("fig8", i, 3, overrides, workers=2)
-        dirs.append(write_shard(manifest, tmp_path / f"host{i}").parent)
+    dirs = [tmp_path / f"host{i}" for i in range(3)]
+    for i, host in enumerate(dirs):
+        run_shard("fig8", i, 3, host, overrides, workers=2)
     merged = merge_shards(dirs)
     assert merged.canonical_json() == serial.canonical_json()
     paths = save_sweep(merged, tmp_path / "merged")
