@@ -17,8 +17,8 @@ Run paper experiments and ad-hoc jobs without writing code::
     python -m repro submit fig8 --grid nodes=2,4 --socket /tmp/repro.sock
     python -m repro submit --status --socket /tmp/repro.sock
     python -m repro submit --shutdown --socket /tmp/repro.sock
-    python -m repro fleet serve fig8 --port 0 --journal j.jsonl  # coordinator
-    python -m repro fleet worker --connect HOST:PORT    # join the fleet
+    python -m repro fleet serve fig8 --port 0 --journal j.jsonl  # one-job daemon
+    python -m repro fleet worker --connect HOST:PORT    # lease points from a daemon
     python -m repro trace fig8 --grid nodes=2 --out trace.json  # Perfetto
     python -m repro metrics fig8 --grid nodes=2     # telemetry report
     python -m repro encrypt --nodes 16 --data-gb 32 --backend cell
@@ -93,11 +93,15 @@ EPILOG = (
 )
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, least: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value
+
+
+def _nonnegative_int(text: str) -> int:
+    return _positive_int(text, least=0)
 
 
 def _add_sweep_common(p: argparse.ArgumentParser) -> None:
@@ -206,8 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="TCP bind address (default: loopback)")
     pserve.add_argument("--socket", type=Path, default=None, metavar="PATH",
                         help="listen on a unix socket at PATH")
-    pserve.add_argument("--workers", type=_positive_int, default=2,
-                        help="pool worker processes shared by all jobs")
+    pserve.add_argument("--workers", type=_nonnegative_int, default=2,
+                        help="pool worker processes shared by all jobs; 0 "
+                             "runs no pool, so registered `repro fleet "
+                             "worker`s execute every point")
     pserve.add_argument("--cache-dir", type=Path, default=None, metavar="DIR",
                         help="serve through the sweep/point cache in DIR")
     pserve.add_argument("--abandon-timeout", type=float, default=30.0,
@@ -277,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pfl = sub.add_parser(
         "fleet",
-        help="distributed sweep fabric: a coordinator handing out point "
-             "leases to a fleet of workers, with failure detection, "
-             "re-dispatch, and crash-resume",
+        help="distributed sweeps: workers lease points from `repro serve`; "
+             "`fleet serve` is that daemon with one journaled job, failure "
+             "detection, re-dispatch, and crash-resume",
         epilog="See docs/FAULT_TOLERANCE.md for the failure model and "
                "tuning.",
     )
@@ -287,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pfs = pflsub.add_parser(
         "serve",
-        help="coordinate one sweep across connecting workers; exits when "
-             "the sweep completes (or fails loudly)",
+        help="serve one sweep to connecting workers (a pool-less `repro "
+             "serve` with one job); exits when the sweep completes (or "
+             "fails loudly)",
     )
     pfs.add_argument("scenario",
                      help="registered scenario name (see `repro scenarios`)")
@@ -319,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     pfs.add_argument("--lease-timeout", type=float, default=60.0, metavar="S",
                      help="max runtime of one leased point before "
                           "re-dispatch (default: 60)")
-    pfs.add_argument("--batch-size", type=_positive_int, default=4,
-                     help="max points granted per lease (default: 4)")
     pfs.add_argument("--max-attempts", type=_positive_int, default=3,
                      help="failed attempts per point before quarantine "
                           "aborts the sweep (default: 3)")
@@ -331,9 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="S",
                      help="abort when no live worker exists for S seconds "
                           "(default: 30)")
-    pfs.add_argument("--linger", type=float, default=1.0, metavar="S",
-                     help="keep answering `done` for S seconds after the "
-                          "sweep completes so workers exit cleanly")
     pfs.add_argument("--chaos-crash-after", type=int, default=None,
                      metavar="N",
                      help="fault injection: crash after accepting N results, "
@@ -346,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pfw = pflsub.add_parser(
         "worker",
-        help="join a fleet: register with the coordinator, heartbeat, "
+        help="join a fleet: register with a daemon, heartbeat, "
              "execute leased points, stream results back",
     )
     pfw.add_argument("--connect", default=None, metavar="[HOST:]PORT",
-                     help="coordinator TCP address; exclusive with --socket")
+                     help="daemon TCP address; exclusive with --socket")
     pfw.add_argument("--socket", default=None, metavar="PATH",
-                     help="coordinator unix socket path")
+                     help="daemon unix socket path")
     pfw.add_argument("--name", default=None,
                      help="stable worker identity (default: <host>-<pid>)")
     pfw.add_argument("--capacity", type=_positive_int, default=1,
@@ -364,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="consult/update the point cache in DIR")
     pfw.add_argument("--reconnect-timeout", type=float, default=30.0,
                      metavar="S",
-                     help="give up after the coordinator is unreachable "
+                     help="give up after the daemon is unreachable "
                           "for S seconds (default: 30)")
     pfw.add_argument("--chaos-kill-after", type=int, default=None,
                      metavar="N",
@@ -686,8 +688,10 @@ def _cmd_serve(args, out) -> int:
 def _cmd_fleet_serve(args, out) -> int:
     # Exit codes: 0 sweep completed, 1 fleet failure (dead fleet,
     # poison points), 2 usage, 7 deliberate chaos crash (journal kept).
-    from repro.fabric import FleetCoordinator, TrackerConfig
+    from repro.fabric import TrackerConfig
     from repro.fabric.chaos import CoordinatorChaos
+    from repro.serve import JobRequest, ReproServer
+    from repro.serve.jobs import DONE
     from repro.serve.logs import configure_logging
 
     if (args.port is None) == (args.socket is None):
@@ -697,47 +701,45 @@ def _cmd_fleet_serve(args, out) -> int:
     configure_logging(args.log_level, json_mode=args.log_json)
     chaos = (CoordinatorChaos(crash_after_results=args.chaos_crash_after)
              if args.chaos_crash_after is not None else None)
+    server = ReproServer(
+        port=args.port, socket_path=args.socket, host=args.host, workers=0,
+        cache_dir=args.cache_dir, abandon_timeout_s=None,
+        config=TrackerConfig(
+            worker_timeout_s=args.worker_timeout,
+            lease_timeout_s=args.lease_timeout,
+            max_attempts=args.max_attempts,
+            retry_backoff_s=args.retry_backoff,
+        ),
+        no_worker_timeout_s=args.no_worker_timeout, chaos=chaos,
+    )
     try:
         overrides = parse_grid_overrides(args.grid)
-        coord = FleetCoordinator(
-            args.scenario, overrides, seed=args.seed,
-            port=args.port, socket_path=args.socket, host=args.host,
-            config=TrackerConfig(
-                worker_timeout_s=args.worker_timeout,
-                lease_timeout_s=args.lease_timeout,
-                batch_size=args.batch_size,
-                max_attempts=args.max_attempts,
-                retry_backoff_s=args.retry_backoff,
-            ),
-            journal_path=args.journal, cache_dir=args.cache_dir,
-            no_worker_timeout_s=args.no_worker_timeout,
-            linger_s=args.linger, chaos=chaos,
-        )
+        job = server.serve_one(JobRequest(args.scenario, overrides, args.seed),
+                               args.journal)
     except (GridError, KeyError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=out)
         return 2
-    coord.start()
-    resumed = len(coord.journal.resumed) if coord.journal else 0
+    resumed = len(job.ledger.journal.resumed) if job.ledger.journal else 0
     via = f", resuming {resumed} journaled point(s)" if resumed else ""
-    print(f"repro fleet: coordinating {coord.scenario.name} "
-          f"({coord.total} points) on {coord.endpoint()}{via}; join with "
-          f"`repro fleet worker --connect {coord.endpoint()}`", file=out)
+    print(f"repro fleet: coordinating {job.scenario.name} "
+          f"({job.total} points) on {server.endpoint()}{via}; join with "
+          f"`repro fleet worker --connect {server.endpoint()}`", file=out)
     out.flush()
     try:
-        coord.wait()
+        server.wait()
     except KeyboardInterrupt:
-        coord.close()
+        server.close()
         print("fleet: interrupted", file=out)
         return 1
-    if coord.crashed:
-        print(f"fleet: {coord.error}", file=out)
+    if server.crashed:
+        print(f"fleet: {job.error}", file=out)
         return 7
-    if coord.result is None:
-        print(f"error: {coord.error}", file=out)
+    if job.state != DONE:
+        print(f"error: {job.error or f'job {job.state}'}", file=out)
         return 1
-    result = coord.result
-    stats = coord.stats()
+    result = job.result
+    stats = job.tracker.counters
     _print_series(result.series, result.xlabel, result.ylabel,
                   result.title, out)
     print(file=out)

@@ -214,13 +214,13 @@ class SweepLedger:
     journal and assembly policy is decided.
 
     :func:`run_sweep`, :func:`~repro.experiments.cache.cached_sweep`,
-    :func:`merge_shards`, the serve daemon and the fleet coordinator
-    all fill a ledger and assemble through it; :func:`run_shard` fills
+    :func:`merge_shards` and every job of the serve daemon (``repro
+    fleet serve`` included) all fill a ledger and assemble through it; :func:`run_shard` fills
     one part of a ledger and keeps its journal as the output:
 
     - :meth:`prefill` reads the durable sources in precedence order:
       the whole-sweep cache (a hit is returned and nothing else is
-      read), then the journal to resume (a coordinator's or a shard's),
+      read), then the journal to resume (a ``fleet serve`` job's or a shard's),
       then the point cache;
     - :meth:`pending` orders the missing points longest recorded cost
       first when a timing store is present;

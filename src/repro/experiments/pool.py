@@ -64,6 +64,8 @@ __all__ = [
 
 START_METHOD_ENV = "REPRO_SWEEP_START_METHOD"
 
+_END = object()  # run_tasks: the task source is exhausted
+
 logger = logging.getLogger("repro.pool")
 
 
@@ -189,49 +191,52 @@ class SweepPool:
         duplicate completion is harmless: the first result wins. Task
         exceptions propagate; only silent worker death is retried.
 
-        Without ``stop`` every task is queued at once. With it, at most
+        ``tasks`` is pulled lazily, one task per free slot, so a caller
+        may lease them as it goes (the serving daemon does). Without
+        ``stop`` every task is queued at once. With it, at most
         ``workers`` tasks are in flight and ``stop()`` is asked on every
         refill and poll; once it is True nothing new is dispatched, the
         in-flight tasks drain and the stream ends — so a cancelled job
         stops costing workers after one wave.
         """
-        tasks = list(tasks)
-        total = len(tasks)
-        cap = total if stop is None else self.workers
+        source = iter(tasks)
+        sent: list[Any] = []
+        received: set[int] = set()
+        cap = self.workers if stop is not None else None
         completions: SimpleQueue = SimpleQueue()
-        received = [False] * total
-        dispatched = done = 0
         generation = self._generation
 
         def submit(i: int) -> None:
             self._ensure().apply_async(
-                fn, (tasks[i],),
+                fn, (sent[i],),
                 callback=lambda r: completions.put((i, r, None)),
                 error_callback=lambda e: completions.put((i, None, e)),
             )
 
         while True:
             if stop is None or not stop():
-                while dispatched < total and dispatched - done < cap:
-                    submit(dispatched)
-                    dispatched += 1
-            if done == dispatched:
+                while cap is None or len(sent) - len(received) < cap:
+                    task = next(source, _END)
+                    if task is _END:
+                        break
+                    sent.append(task)
+                    submit(len(sent) - 1)
+            if len(received) == len(sent):
                 return
             try:
                 i, result, error = completions.get(timeout=poll_s)
             except Empty:
                 if self.reap_dead() or self._generation != generation:
                     generation = self._generation
-                    for i in range(dispatched):
-                        if not received[i]:
+                    for i in range(len(sent)):
+                        if i not in received:
                             submit(i)
                 continue
-            if received[i]:
+            if i in received:
                 continue  # duplicate from a pre-respawn dispatch
             if error is not None:
                 raise error
-            received[i] = True
-            done += 1
+            received.add(i)
             yield result
 
     def worker_pids(self) -> list[int]:

@@ -3,17 +3,18 @@
 The fabric's contract — any failure schedule merges byte-identical to
 a serial sweep — is only testable if failure schedules can be
 *scripted*: kill worker 0 after its second result, drop worker 1's
-heartbeats for 300ms, crash the coordinator after five accepted
-points, restart it, and demand the same bytes. This module provides
-the two chaos descriptors the worker and coordinator consult
-(duck-typed, so neither imports this module) and
-:func:`run_chaos_fleet`, the in-process harness the tests and the CI
-chaos-smoke job drive.
+heartbeats for 300ms, crash the daemon after five accepted points,
+restart it, and demand the same bytes. This module provides the two
+chaos descriptors the worker and the daemon consult (duck-typed, so
+neither imports this module) and :func:`run_chaos_fleet`, the
+in-process harness the tests drive.
 
 Everything runs in threads inside one process: workers execute points
-inline, the coordinator serves its socket, and "kills" are abrupt
-socket closes with leases still held — indistinguishable, from the
-coordinator's side, from SIGKILL on a remote host.
+inline, a pool-less :class:`~repro.serve.server.ReproServer` serves
+the sweep as its one job (what ``repro fleet serve`` runs), and
+"kills" are abrupt socket closes with leases still held —
+indistinguishable, from the daemon's side, from SIGKILL on a remote
+host.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.experiments.driver import SweepResult
-from repro.fabric.coordinator import FleetCoordinator
-from repro.fabric.protocol import FleetError
 from repro.fabric.tracker import TrackerConfig
-from repro.fabric.worker import FleetWorker
+from repro.fabric.worker import FleetError, FleetWorker
 from repro.serve.client import Address
+from repro.serve.jobs import DONE, JobRequest
+from repro.serve.server import ReproServer
 
 __all__ = ["CoordinatorChaos", "WorkerChaos", "run_chaos_fleet"]
 
@@ -59,7 +60,7 @@ class WorkerChaos:
 
 @dataclass(frozen=True)
 class CoordinatorChaos:
-    """The coordinator's scripted failure schedule."""
+    """The daemon's scripted failure schedule."""
 
     #: Crash (stop answering, leave the journal) after accepting N
     #: results. None: never.
@@ -97,21 +98,21 @@ def run_chaos_fleet(
 ) -> tuple[SweepResult, dict[str, Any], list[dict[str, Any]]]:
     """Run one sweep through a localhost fleet under a failure script.
 
-    Starts a TCP coordinator on an OS-assigned port and ``workers``
-    worker threads (``worker_chaos[i]`` scripts worker i). The sweep
-    runs in the modes of the caller's run context: the coordinator
-    reads it and hands the modes to every worker that registers. Killed
-    workers are replaced by fresh chaos-free workers when
-    ``respawn_killed``; a chaos-crashed coordinator is restarted **on
-    the same port with the same journal** (the resume path) up to
+    Starts a pool-less TCP daemon on an OS-assigned port serving the
+    sweep as its one job, and ``workers`` worker threads
+    (``worker_chaos[i]`` scripts worker i). The sweep runs in the modes
+    of the caller's run context: admission resolves them and every
+    lease carries them. Killed workers are replaced by fresh chaos-free
+    workers when ``respawn_killed``; a chaos-crashed daemon is restarted
+    **on the same port with the same journal** (the resume path) up to
     ``max_restarts`` times, with chaos applied only to the first
     incarnation.
 
     Returns ``(result, stats, reports)``: the merged
-    :class:`SweepResult`, the final coordinator stats augmented with
-    ``restarts``, and one report dict per worker incarnation. Raises
-    :class:`FleetError` when the sweep genuinely fails (poison points,
-    fully dead fleet, restart budget exhausted).
+    :class:`SweepResult`, the final job's lease accounting plus the
+    daemon's stats and ``restarts``, and one report dict per worker
+    incarnation. Raises :class:`FleetError` when the sweep genuinely
+    fails (poison points, fully dead fleet, restart budget exhausted).
     """
     if coordinator_chaos is not None and journal_path is None:
         raise ValueError(
@@ -121,17 +122,18 @@ def run_chaos_fleet(
         worker_timeout_s=1.0, lease_timeout_s=15.0, retry_backoff_s=0.1)
     schedules = list(worker_chaos or [])
     schedules += [None] * (workers - len(schedules))
+    request = JobRequest(getattr(scenario, "name", scenario),
+                         dict(overrides or {}), seed)
 
-    def make_coordinator(port: int, chaos) -> FleetCoordinator:
-        return FleetCoordinator(
-            scenario, overrides, seed=seed, port=port, config=config,
-            journal_path=journal_path, cache_dir=cache_dir,
+    def start_daemon(port: int, chaos):
+        server = ReproServer(
+            port=port, workers=0, cache_dir=cache_dir, config=config,
             no_worker_timeout_s=no_worker_timeout_s, linger_s=linger_s,
-            chaos=chaos,
-        ).start()
+            chaos=chaos)
+        return server, server.serve_one(request, journal_path)
 
-    coord = make_coordinator(0, coordinator_chaos)
-    port = coord.port
+    server, job = start_daemon(0, coordinator_chaos)
+    port = server.port
     address = Address.parse(f"127.0.0.1:{port}", None)
     fleet = _Fleet()
 
@@ -163,34 +165,33 @@ def run_chaos_fleet(
     restarts = 0
     try:
         while True:
-            if coord.wait(0.05):
-                if coord.result is not None:
+            if server.wait(0.05):
+                if job.state == DONE:
                     break
-                if coord.crashed and restarts < max_restarts:
+                if server.crashed and restarts < max_restarts:
                     restarts += 1
                     # Same port, same journal: the genuine resume path.
-                    coord = make_coordinator(port, None)
+                    server, job = start_daemon(port, None)
                     continue
-                raise FleetError(coord.error or "fleet sweep failed")
+                raise FleetError(job.error or f"fleet sweep {job.state}")
             if deadline.is_set():
-                coord.close()
+                server.close()
                 raise FleetError(
                     f"chaos fleet did not converge within {timeout_s}s; "
-                    f"stats: {coord.stats()}")
+                    f"stats: {job.tracker.accounting()}")
             if respawn_killed:
                 for t in list(fleet.threads):
                     if not t.is_alive():
                         fleet.threads.remove(t)
-            # A replacement is owed for every reported kill that has
-            # not been replaced yet.
-            if respawn_killed:
+                # A replacement is owed for every reported kill that has
+                # not been replaced yet.
                 kills = sum(1 for r in fleet.reports if r.get("killed"))
                 owed = workers + kills - fleet.spawned
                 for _ in range(max(0, owed)):
                     spawn(None)
     finally:
         timer.cancel()
-        coord.close()
+        server.close()
         for worker in fleet.workers:
             worker.stop()
         for t in fleet.threads:
@@ -202,6 +203,6 @@ def run_chaos_fleet(
             # them (and pollute whatever runs next), so it is an error.
             raise FleetError(
                 f"chaos fleet leaked worker threads past stop(): {leaked}")
-    stats = {**coord.stats(), "restarts": restarts,
-             "workers_spawned": fleet.spawned}
-    return coord.result, stats, fleet.reports
+    stats = {**server.stats(), **job.tracker.accounting(),
+             "restarts": restarts, "workers_spawned": fleet.spawned}
+    return job.result, stats, fleet.reports

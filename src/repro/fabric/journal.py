@@ -3,12 +3,12 @@
 One JSONL file per sweep: a header line carrying the request key and
 the readable request (scenario, grid, defaults, seed, both modes), then
 one line per accepted point, appended and fsynced the moment the point
-is accepted. The fleet coordinator (``--journal``) replays it after a
+is accepted. ``repro fleet serve --journal`` replays it after a daemon
 crash and removes it on success. A static shard (``repro sweep --shard
 I/N``) keeps it as its output: a re-run resumes it, and ``repro sweep
 --merge`` rebuilds the sweep from the header and prefills one ledger
 from every shard's journal. A lingering journal is an unfinished
-coordinator sweep or a shard's result.
+``fleet serve`` sweep or a shard's result.
 
 Reading rules (:func:`read_journal`):
 

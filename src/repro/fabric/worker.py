@@ -1,9 +1,10 @@
 """The fleet worker: connect, register, heartbeat, execute, deliver.
 
-A worker is a deliberately thin client around the repo's existing
-point machinery: every leased point runs through the same
+A worker is a deliberately thin client of ``repro serve`` (and of its
+one-job form, ``repro fleet serve``) around the repo's existing point
+machinery: every leased point runs through the same
 ``_run_point_task`` the multiprocessing pool uses, under a run context
-holding the coordinator's engine/model reference modes — so the values
+holding the leasing job's engine/model reference modes — so the values
 a worker produces are bit-identical to a serial sweep on the same
 code. The context is bound in the worker's own thread only, so workers
 running as threads of one process execute points concurrently.
@@ -11,20 +12,21 @@ running as threads of one process execute points concurrently.
 The loop is strict request/reply over one persistent connection:
 
 1. connect (with jittered backoff up to ``reconnect_timeout_s``);
-2. ``register`` → ``registered`` reply carries the scenario spec and
-   the coordinator's request key; the worker **rebuilds the scenario
-   locally, recomputes the key, and refuses on mismatch** — the same
-   consistency check shard merging runs, catching code drift before a
-   wrong-but-plausible value can enter the sweep;
-3. heartbeat on a jittered cadence; leases come back as fully-bound
-   cfgs; each point executes inline and its result (or failure) is
-   delivered and acknowledged immediately;
+2. ``register`` with the protocol version → ``registered`` (a version
+   mismatch is refused loudly: :class:`FleetError`);
+3. heartbeat on a jittered cadence; a lease names its job, the job's
+   scenario spec and request key. On the first lease of a job the
+   worker **rebuilds the scenario locally, recomputes the key, and on a
+   mismatch sends ``refuse`` and quits** — the same consistency check
+   shard merging runs, catching code drift before a wrong-but-plausible
+   value can enter a sweep. Each point executes inline and its result
+   (or failure) is delivered and acknowledged immediately;
 4. ``done`` → clean exit, ``abort``/``error`` → :class:`FleetError`,
    ``reregister`` or any socket error → reconnect and re-register.
 
 Work is never wasted: a result computed across a partition is
-delivered after reconnecting, and the coordinator accepts it (or
-dedups it) under its exactly-once ledger.
+delivered after reconnecting, and the daemon accepts it (or dedups it)
+under its exactly-once ledger.
 
 Chaos hooks (duck-typed, see :mod:`repro.fabric.chaos`) simulate the
 failure schedule the tests script: abrupt kills after N delivered
@@ -46,16 +48,24 @@ from repro import runctx
 from repro.experiments.cache import PointCache, request_key
 from repro.experiments.driver import _run_point_task
 from repro.experiments.registry import get_scenario
-from repro.experiments.scenario import GridError, Scenario
-from repro.fabric import protocol
-from repro.fabric.protocol import FleetError
+from repro.experiments.scenario import GridError
 from repro.serve.client import Address, connect
 from repro.serve.logs import log_event
+from repro.serve.protocol import PROTOCOL_VERSION
 from repro.wire import ProtocolError, recv_msg, send_msg
 
-__all__ = ["FleetWorker"]
+__all__ = ["FleetError", "FleetWorker"]
 
 logger = logging.getLogger("repro.fleet.worker")
+
+
+class FleetError(RuntimeError):
+    """A fleet-level failure: dead fleet, poisoned point, key mismatch.
+
+    Deliberately loud — every unrecoverable condition surfaces as a
+    clear error instead of a hang, because a distributed sweep that
+    silently stalls is the worst possible diagnostic experience.
+    """
 
 
 class _Killed(Exception):
@@ -67,10 +77,10 @@ class FleetWorker:
 
     Parameters
     ----------
-    address: coordinator endpoint (:class:`repro.serve.client.Address`).
+    address: daemon endpoint (:class:`repro.serve.client.Address`).
     name: stable worker identity across reconnects; defaults to
         ``<hostname>-<pid>``. Re-registering under the same name
-        supersedes the previous incarnation on the coordinator.
+        supersedes the previous incarnation on the daemon.
     capacity: concurrent points this worker advertises. Execution is
         inline (one at a time); capacity>1 simply batches leases.
     heartbeat_s: base heartbeat cadence; each sleep is jittered to
@@ -81,7 +91,7 @@ class FleetWorker:
     reconnect_timeout_s: how long connection attempts may keep failing
         (from the last successful contact) before the worker gives up
         with a :class:`FleetError`.
-    io_timeout_s: blocking-read limit per reply; a coordinator that
+    io_timeout_s: blocking-read limit per reply; a daemon that
         goes silent longer looks like a dead connection → reconnect.
     chaos: optional scripted fault injection (duck-typed; see
         :class:`repro.fabric.chaos.WorkerChaos`).
@@ -110,9 +120,9 @@ class FleetWorker:
         self.chaos = chaos
         self._rng = rng
         self.point_cache = PointCache(Path(cache_dir)) if cache_dir else None
-        self._sc: Optional[Scenario] = None
-        self._ctx = runctx.RunContext()
-        self._key: Optional[str] = None
+        #: request key -> (scenario, run context) of every job leased so
+        #: far, rebuilt and checked on its first lease.
+        self._jobs: dict[str, tuple] = {}
         self._silences_done: set[int] = set()
         self._stop = threading.Event()
         self.report: dict[str, Any] = {
@@ -137,7 +147,7 @@ class FleetWorker:
         exponential from 50 ms, capped at 0.5 s, jittered by ±50% so a
         fleet of workers orphaned together does not reconnect in
         lockstep. The exponent itself is clamped *before* ``2 **
-        attempt`` is evaluated — during a long coordinator outage the
+        attempt`` is evaluated — during a long daemon outage the
         attempt counter keeps climbing, and past ~1000 doublings the
         intermediate power no longer fits in a float (``OverflowError``)
         even though the result would just be clamped to 0.5 s anyway."""
@@ -145,7 +155,7 @@ class FleetWorker:
 
     # -- top-level loop ------------------------------------------------------
     def run(self) -> dict[str, Any]:
-        """Work until the coordinator says ``done`` (returns the
+        """Work until the daemon says ``done`` (returns the
         worker's report), the chaos schedule kills this worker (report
         has ``killed=True``), or the fleet is unreachable/aborted
         (raises :class:`FleetError`)."""
@@ -157,7 +167,7 @@ class FleetWorker:
             except OSError as exc:
                 if time.monotonic() - last_contact > self.reconnect_timeout_s:
                     raise FleetError(
-                        f"worker {self.name}: coordinator at "
+                        f"worker {self.name}: daemon at "
                         f"{self.address} unreachable for more than "
                         f"{self.reconnect_timeout_s}s: {exc}"
                     ) from exc
@@ -195,11 +205,11 @@ class FleetWorker:
         while not self._stop.is_set():
             self._maybe_die()
             self._maybe_silence()
-            reply = self._rpc(stream, protocol.heartbeat_msg(
-                self.name, self.capacity))
+            reply = self._rpc(stream, {"type": "heartbeat", "worker": self.name,
+                                       "free": self.capacity})
             rtype = reply.get("type")
             if rtype == "lease":
-                self._execute_lease(stream, reply.get("points", []))
+                self._execute_lease(stream, reply)
             elif rtype == "ok":
                 self._stop.wait(self.heartbeat_s * (0.5 + self._rng()))
             elif rtype == "done":
@@ -211,16 +221,17 @@ class FleetWorker:
                 self._register(stream)
             elif rtype == "abort":
                 raise FleetError(
-                    f"worker {self.name}: sweep aborted by coordinator: "
+                    f"worker {self.name}: sweep aborted by the daemon: "
                     f"{reply.get('message', 'no reason given')}")
             else:
                 raise FleetError(
-                    f"worker {self.name}: coordinator error: "
+                    f"worker {self.name}: daemon error: "
                     f"{reply.get('message', reply)}")
 
     def _register(self, stream) -> None:
-        reply = self._rpc(stream, protocol.register_msg(
-            self.name, self.capacity, self._key))
+        reply = self._rpc(stream, {"type": "register", "worker": self.name,
+                                   "capacity": self.capacity,
+                                   "version": PROTOCOL_VERSION})
         if reply.get("type") == "error":
             raise FleetError(
                 f"worker {self.name}: registration refused: "
@@ -228,54 +239,61 @@ class FleetWorker:
         if reply.get("type") != "registered":
             raise ProtocolError(
                 f"expected 'registered' reply, got {reply.get('type')!r}")
-        spec = reply["scenario"]
-        self._ctx = runctx.RunContext(
-            engine_reference=bool(reply["reference"]),
-            model_reference=bool(reply["model_reference"]))
+        log_event(logger, logging.INFO, "worker_registered", worker=self.name)
+
+    def _job(self, stream, lease: dict[str, Any]) -> tuple:
+        """The leasing job's scenario and run context, rebuilt from the
+        lease on first sight and checked against its request key."""
+        key = lease["request_key"]
+        if key in self._jobs:
+            return self._jobs[key]
+        spec = lease["scenario"]
+        ctx = runctx.RunContext(engine_reference=bool(lease["reference"]),
+                                model_reference=bool(lease["model_reference"]))
         try:
-            base = get_scenario(spec["name"])
-            self._sc = base.with_overrides(
+            sc = get_scenario(spec["name"]).with_overrides(
                 {**spec["grid"], **spec["defaults"]}, seed=spec["seed"])
+            mine = request_key(sc, ctx)
+            problem = None if mine == key else (
+                f"request key mismatch for job {lease['job']} — daemon "
+                f"{key[:16]} vs locally recomputed {mine[:16]}. The worker "
+                "is running different code or calibration than the "
+                "daemon; its values could silently diverge, so it refuses "
+                "to participate.")
         except (KeyError, GridError) as exc:
-            raise FleetError(
-                f"worker {self.name}: cannot rebuild scenario "
-                f"{spec.get('name')!r} from the coordinator's spec "
-                f"({exc}); worker code is too old for this sweep"
-            ) from exc
-        self._key = request_key(self._sc, self._ctx)
-        if self._key != reply["request_key"]:
-            raise FleetError(
-                f"worker {self.name}: request key mismatch — coordinator "
-                f"{reply['request_key'][:16]} vs locally recomputed "
-                f"{self._key[:16]}. The worker is running different code "
-                "or calibration than the coordinator; its values could "
-                "silently diverge, so it refuses to participate."
-            )
-        log_event(logger, logging.INFO, "worker_registered",
-                  worker=self.name, scenario=spec["name"],
-                  request_key=self._key[:16], total=reply["total"])
+            problem = (f"cannot rebuild scenario {spec.get('name')!r} of job "
+                       f"{lease['job']} from the daemon's spec ({exc}); "
+                       "worker code is too old for this sweep")
+        if problem is not None:
+            self._rpc(stream, {"type": "refuse", "worker": self.name,
+                               "job": lease["job"], "error": problem})
+            raise FleetError(f"worker {self.name}: {problem}")
+        log_event(logger, logging.INFO, "worker_job", worker=self.name,
+                  job=lease["job"], scenario=spec["name"], request_key=key[:16])
+        self._jobs[key] = (sc, ctx)
+        return sc, ctx
 
     # -- lease execution -----------------------------------------------------
-    def _execute_lease(self, stream, points: list[dict[str, Any]]) -> None:
-        for point in points:
+    def _execute_lease(self, stream, lease: dict[str, Any]) -> None:
+        sc, ctx = self._job(stream, lease)
+        frame = {"worker": self.name, "job": lease["job"]}
+        for point in lease["points"]:
             if self._stop.is_set():
                 return
             self._maybe_die()
             index, cfg = point["index"], point["cfg"]
-            attempt = 1
             try:
-                values, elapsed = self._execute_point(index, cfg)
+                values, elapsed = self._execute_point(sc, ctx, index, cfg)
             except _Killed:
                 raise
             except Exception as exc:  # the point itself failed
-                self._rpc(stream, protocol.failure_msg(
-                    self.name, index, f"{type(exc).__name__}: {exc}",
-                    attempt))
+                self._rpc(stream, {**frame, "type": "point_failed", "index": index,
+                                   "error": f"{type(exc).__name__}: {exc}"})
                 self.report["failures_sent"] += 1
                 continue
             self._chaos_delay()
-            msg = protocol.result_msg(self.name, index, values, elapsed,
-                                      attempt)
+            msg = {**frame, "type": "result", "index": index,
+                   "values": values, "elapsed_s": elapsed}
             self._rpc(stream, msg)
             self.report["results_sent"] += 1
             if self._chaos_duplicate():
@@ -283,18 +301,16 @@ class FleetWorker:
                 self.report["duplicates_sent"] += 1
 
     def _execute_point(
-        self, index: int, cfg: dict[str, Any]
+        self, sc, ctx: runctx.RunContext, index: int, cfg: dict[str, Any]
     ) -> tuple[dict[str, float], float]:
-        assert self._sc is not None
         if self.point_cache is not None:
-            key, hit = self.point_cache.lookup(self._sc, cfg, self._ctx)
+            key, hit = self.point_cache.lookup(sc, cfg, ctx)
             if hit is not None:
                 self.report["cache_hits"] += 1
                 return hit, 0.0
-        _, values, elapsed, _ = _run_point_task(
-            (self._sc.name, index, cfg, self._ctx, False))
+        _, values, elapsed, _ = _run_point_task((sc.name, index, cfg, ctx, False))
         if self.point_cache is not None:
-            self.point_cache.store(self._sc.name, key, values)
+            self.point_cache.store(sc.name, key, values)
         return values, elapsed
 
     # -- plumbing ------------------------------------------------------------
@@ -308,13 +324,13 @@ class FleetWorker:
         if (kill_after is not None
                 and self.report["results_sent"] >= kill_after):
             # Abrupt: no goodbye frame, no lease handback — exactly what
-            # SIGKILL looks like from the coordinator's side.
+            # SIGKILL looks like from the daemon's side.
             raise _Killed()
 
     def _maybe_silence(self) -> None:
         """Scripted heartbeat drops: after delivering N results, go
         silent for a window (a GC pause / network partition stand-in)
-        and let the coordinator's failure detector do its worst."""
+        and let the daemon's failure detector do its worst."""
         for i, (after_results, duration) in enumerate(
                 getattr(self.chaos, "silences", ()) or ()):
             if (i not in self._silences_done

@@ -1,9 +1,9 @@
-"""The line-JSON listener under both daemons.
+"""The line-JSON listener under the daemon.
 
-``repro serve`` and the fleet coordinator are thin listeners in front
-of one core each (a job table, a sweep tracker). :class:`LineServer`
-is what they share: TCP or unix binding and the accept loop, thread
-and connection tracking, the bounded frame read
+:class:`LineServer` is the socket half of ``repro serve``
+(:class:`repro.serve.server.ReproServer`, which ``repro fleet serve``
+also runs): TCP or unix binding and the accept loop, thread and
+connection tracking, the bounded frame read
 (:data:`repro.wire.MAX_FRAME_BYTES`), ``SHUT_RDWR`` before close (pool
 workers forked while a connection was open hold a duplicate of its fd,
 and only a shutdown ends the peer's stream) and the stats-to-gauges

@@ -1,20 +1,25 @@
-"""Simulation-as-a-service: the ``repro serve`` daemon and its client.
+"""Simulation-as-a-service: ``repro serve``, the one daemon, and its client.
 
 A long-running process that accepts concurrent simulation/sweep
 requests over a line-delimited JSON protocol (TCP or unix socket),
-multiplexes them onto one shared persistent worker pool, coalesces
-identical concurrent requests onto a single computation, and streams
-per-point progress plus a final payload that is byte-identical to what
-the offline ``repro sweep`` command writes.
+coalesces identical concurrent requests onto a single computation,
+leases every job's points to its local worker pool and to registered
+``repro fleet worker`` processes, and streams per-point progress plus a final
+payload that is byte-identical to what the offline ``repro sweep``
+command writes. ``repro fleet serve`` is the same daemon with no local
+pool and one journaled job.
 
 Layering:
 
-- :mod:`repro.serve.protocol` — wire format and request validation;
+- :mod:`repro.serve.protocol` — the client and worker frames and their
+  validation;
 - :mod:`repro.serve.jobs` — job state machine, coalescing admission,
   subscriber fan-out (socket-free, fake-clock testable);
-- :mod:`repro.serve.server` — the daemon: listener, connection
-  handlers, pool-backed executors;
-- :mod:`repro.serve.client` — the thin client ``repro submit`` uses.
+- :mod:`repro.serve.server` — the daemon: listener, client and worker
+  sessions, per-job lease tables (:mod:`repro.fabric.tracker`) and
+  executors;
+- :mod:`repro.serve.client` — the thin client ``repro submit`` and the
+  fleet worker use.
 """
 
 import importlib

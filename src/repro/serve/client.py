@@ -64,14 +64,20 @@ class Address:
 
 
 def connect(address: Address, timeout: Optional[float] = None) -> socket.socket:
-    if address.socket_path is not None:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(str(address.socket_path))
-    else:
+    """A connected socket; a failed attempt closes its socket before
+    raising, so a retry loop against an absent daemon leaks nothing."""
+    if address.socket_path is None:
         sock = socket.create_connection(
             (address.host, address.port), timeout=timeout
         )
+    else:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(timeout)
+            sock.connect(str(address.socket_path))
+        except BaseException:
+            sock.close()
+            raise
     sock.settimeout(None)  # stream reads block until the server answers
     return sock
 

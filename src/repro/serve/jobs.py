@@ -124,10 +124,15 @@ class Job:
         self.created = clock()
         self.started: Optional[float] = None
         self.finished: Optional[float] = None
+        #: The job's SweepLedger and SweepTracker, once the daemon has
+        #: read its durable sources.
+        self.ledger = None
+        self.tracker = None
         self._clock = clock
         self._lock = threading.Lock()
         self._subs: list[SimpleQueue] = []
         self._cancel = threading.Event()
+        self._settled = threading.Event()
         # Abandonment tracking: a job whose last *streaming* client
         # disconnected mid-run (without an explicit cancel) holds a
         # lease that expires instead of leaking — see
@@ -207,6 +212,10 @@ class Job:
     def cancelled(self) -> bool:
         return self._cancel.is_set()
 
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until the job is terminal; False on timeout."""
+        return self._settled.wait(timeout)
+
     def mark_running(self) -> bool:
         """queued → running; False if the job is already terminal (a
         cancel won the race), telling the executor to do nothing."""
@@ -282,6 +291,7 @@ class Job:
         self.finished = self._clock()
         self._publish_locked(self._terminal_event_locked())
         self._subs.clear()  # every subscriber got the terminal event
+        self._settled.set()
 
     # -- reporting -----------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:

@@ -1,12 +1,14 @@
-"""The `repro serve` wire protocol: line-delimited JSON.
+"""The daemon's wire protocol: line-delimited JSON, two sessions.
 
-One connection carries one request and its response stream. The client
-sends a single JSON object on one line; the server answers with a
-sequence of JSON event lines and closes the connection after the
-terminal event. Line framing keeps the protocol trivially debuggable
-(``nc``/``socat`` work) and trivially safe to parse incrementally.
+A connection's first frame selects its session. A frame with a
+``verb`` starts a **client** request: one request per connection, a
+stream of ``event`` lines back, closed after the terminal event. A
+frame with a ``type`` starts a **worker** session (``repro fleet
+worker``): one persistent connection, strictly one reply per frame.
+Line framing keeps both trivially debuggable (``nc``/``socat`` work)
+and safe to parse incrementally.
 
-Requests (``verb`` selects the operation)::
+Client requests (``verb`` selects the operation)::
 
     {"verb": "submit", "scenario": "fig8", "overrides": {"nodes": [2,4]},
      "seed": 1234, "reference_engine": false, "reference_model": false,
@@ -31,7 +33,7 @@ Response events (``event`` selects the type)::
     {"event": "status", "jobs": [...], "stats": {...}}
     {"event": "cancel", "job": ..., "ok": bool, "state": ...}
     {"event": "shutdown", "ok": true}
-    {"event": "pong", "version": 1}
+    {"event": "pong", "version": 2}
     {"event": "metrics", "content_type": ..., "text": <Prometheus text>}
     {"event": "error", "message": ...}
 
@@ -47,14 +49,48 @@ shapes ``--grid`` parses into; the server binds them with
 model reference modes may be pinned per request (``null`` means "the
 daemon's own mode"); grid points re-apply them inside the worker
 processes, so one daemon serves all four mode combinations at once.
+
+Worker frames (``type`` selects; every frame names its ``worker``)::
+
+    {"type": "register", "worker": "w0", "capacity": 1, "version": 2}
+    {"type": "heartbeat", "worker": "w0", "free": 1}
+    {"type": "result", "worker": "w0", "job": ..., "index": 3,
+     "values": {...}, "elapsed_s": 0.01}
+    {"type": "point_failed", "worker": "w0", "job": ..., "index": 3,
+     "error": "..."}
+    {"type": "refuse", "worker": "w0", "job": ..., "error": "..."}
+
+Daemon replies::
+
+    {"type": "registered", "worker": "w0", "version": 2}
+    {"type": "lease", "job": ..., "scenario": {...spec...},
+     "request_key": ..., "reference": bool, "model_reference": bool,
+     "points": [{"index": 3, "cfg": {...}}, ...]}
+    {"type": "ok"}                     # heartbeat noted, nothing to run
+    {"type": "ok", "accepted": bool}   # result acknowledged
+    {"type": "done"}                   # daemon stopping: disconnect
+    {"type": "reregister"}             # unknown or declared dead
+    {"type": "abort", "message": ...}  # the one job failed: stop
+    {"type": "error", "message": ...}  # malformed frame, version mismatch
+
+A lease carries its job's scenario spec (grid, defaults, seed), modes
+and request key, plus each point's **fully-bound cfg**, so a worker
+never re-derives grid order. The worker rebuilds the scenario,
+recomputes the key and, on a mismatch, sends ``refuse`` and quits: it
+runs different code or calibration than the daemon, and its values
+could silently diverge. A result for a job that is no longer running
+(finished, cancelled, reaped) is acknowledged with ``accepted: false``
+and dropped. Values travel as JSON floats; ``repr`` round-tripping
+preserves them bit for bit, so results are byte-identical to serial
+sweeps.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
-# The line-JSON framing itself lives in repro.wire (shared with the
-# fleet protocol); re-exported here so existing imports keep working.
+# The line-JSON framing itself lives in repro.wire; re-exported here
+# so existing imports keep working.
 from repro.wire import ProtocolError, decode, encode, read_events
 
 __all__ = [
@@ -63,12 +99,15 @@ __all__ = [
     "VERBS",
     "decode",
     "encode",
+    "lease_reply",
     "parse_request",
+    "parse_worker_msg",
     "read_events",
     "submit_request",
 ]
 
-PROTOCOL_VERSION = 1
+#: 2: worker frames joined the daemon's protocol (leases name their job).
+PROTOCOL_VERSION = 2
 
 VERBS = ("submit", "status", "cancel", "shutdown", "ping", "metrics")
 
@@ -160,3 +199,61 @@ def parse_request(msg: Mapping[str, Any]) -> dict[str, Any]:
             )
         out["mode"] = mode
     return out
+
+
+def _is(kind, desc, least=None):
+    """A field check: an instance of ``kind`` (never a bool), non-empty
+    when a string, at least ``least`` when given."""
+    def check(v) -> bool:
+        return (isinstance(v, kind) and not isinstance(v, bool) and v != ""
+                and (least is None or v >= least))
+    return check, desc
+
+
+_STR = _is(str, "a non-empty string")
+_INT = _is(int, "an integer")
+
+#: Worker frame type -> its required fields and their checks (every
+#: frame also names its ``worker``).
+_WORKER_FIELDS = {
+    "register": {"capacity": _is(int, "an int >= 1", 1), "version": _INT},
+    "heartbeat": {"free": _is(int, "an int >= 0", 0)},
+    "result": {"job": _STR, "index": _INT, "values": _is(dict, "an object"),
+               "elapsed_s": _is((int, float), "a number")},
+    "point_failed": {"job": _STR, "index": _INT, "error": _STR},
+    "refuse": {"job": _STR, "error": _STR},
+}
+
+
+def parse_worker_msg(msg: Mapping[str, Any]) -> dict[str, Any]:
+    """Validate one worker frame's shape; semantics are the trackers'
+    job. Returns a normalized copy."""
+    mtype = msg.get("type")
+    fields = _WORKER_FIELDS.get(mtype)
+    if fields is None:
+        raise ProtocolError(
+            f"unknown worker frame type {mtype!r}; expected one of: "
+            f"{', '.join(_WORKER_FIELDS)}")
+    out: dict[str, Any] = {"type": mtype}
+    for field, (check, desc) in {"worker": _STR, **fields}.items():
+        if not check(msg.get(field)):
+            raise ProtocolError(f"{mtype}: {field!r} must be {desc}")
+        out[field] = msg[field]
+    return out
+
+
+def lease_reply(job, indices) -> dict[str, Any]:
+    """One lease on ``job``'s points: its scenario spec, modes and
+    request key (the worker rebuilds and checks them) and each point's
+    fully-bound cfg."""
+    sc = job.scenario
+    return {
+        "type": "lease",
+        "job": job.id,
+        "scenario": {"name": sc.name, "grid": {k: list(v) for k, v in sc.grid.items()},
+                     "defaults": dict(sc.defaults), "seed": sc.seed},
+        "request_key": job.key,
+        "reference": job.ctx.engine_reference,
+        "model_reference": job.ctx.model_reference,
+        "points": [{"index": i, "cfg": dict(job.ledger.points[i])} for i in indices],
+    }

@@ -1,14 +1,13 @@
-"""Line-delimited JSON framing shared by every repro socket service.
+"""Line-delimited JSON framing for the daemon's one protocol.
 
-Both network layers in this codebase — the ``repro serve`` daemon
-(:mod:`repro.serve.protocol`) and the ``repro fleet``
-coordinator/worker fabric (:mod:`repro.fabric.protocol`) — speak the
-same trivially-debuggable frame shape: one JSON object per line,
-UTF-8, newline-terminated. This module is the one definition of that
-framing, so the two protocols cannot drift apart on encoding details
-(float precision in particular: ``json.dumps`` serializes floats at
-full ``repr`` precision, which is what lets values round-trip through
-the wire bit-for-bit and keeps served/fleet payloads byte-identical to
+``repro serve`` speaks one protocol (:mod:`repro.serve.protocol`) to
+its clients (``repro submit``) and to its fleet workers (``repro fleet
+worker``), in one trivially-debuggable frame shape: one JSON object per
+line, UTF-8, newline-terminated. This module is the one definition of
+that framing and of the journal's lines (float precision in
+particular: ``json.dumps`` serializes floats at full ``repr``
+precision, which is what lets values round-trip through the wire
+bit-for-bit and keeps served and fleet payloads byte-identical to
 offline sweeps).
 """
 

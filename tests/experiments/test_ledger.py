@@ -50,6 +50,7 @@ def test_prefill_precedence(tmp_path, whole_sweep_entry):
     _journal_with(tmp_path, ledger, {0: -1.0, 4: -4.0})
 
     hit = ledger.prefill()
+    ledger.journal.close()
     lookups = ledger.point_cache.hits + ledger.point_cache.misses
     if whole_sweep_entry:
         # A whole-sweep hit reads nothing else and retires the journal.
@@ -72,6 +73,7 @@ def test_accept_is_first_wins_and_journals_once(tmp_path):
     ledger.prefill()
     assert ledger.accept(3, {"y": 1.0}, 0.5)
     assert not ledger.accept(3, {"y": 2.0}, 0.5)  # a late duplicate
+    ledger.journal.close()
     assert ledger.results[3] == {"y": 1.0}
     assert ledger.fresh == [3]
     lines = [json.loads(line) for line in (tmp_path / "j.jsonl").read_text().splitlines()]

@@ -5,7 +5,8 @@ injected worker deaths **and** a coordinator crash/restart must merge
 byte-identical (sha256) to a serial ``run_sweep`` of the same request,
 in all four engine×model reference-mode combinations — plus the
 fail-fast paths (fully dead fleet, poison quarantine) that must error
-clearly instead of hanging.
+clearly instead of hanging. The "coordinator" is the daemon serving the
+sweep as its one job, as ``repro fleet serve`` does.
 """
 
 import threading
@@ -17,14 +18,15 @@ from repro import runctx
 from repro.experiments import run_sweep
 from repro.fabric import (
     CoordinatorChaos,
-    FleetCoordinator,
     FleetError,
     FleetWorker,
     TrackerConfig,
     WorkerChaos,
     run_chaos_fleet,
 )
+from repro.serve import JobRequest, ReproServer
 from repro.serve.client import Address
+from repro.serve.protocol import PROTOCOL_VERSION
 
 OV = {"nodes": [2, 3, 4, 5, 6], "samples": 1e8}
 
@@ -32,6 +34,12 @@ OV = {"nodes": [2, 3, 4, 5, 6], "samples": 1e8}
 def serial_sha(scenario, overrides, ctx):
     with runctx.using(ctx):
         return run_sweep(scenario, overrides).sha256()
+
+
+def one_job_daemon(scenario, **kwargs):
+    """A pool-less daemon serving ``scenario`` as its one job."""
+    server = ReproServer(port=0, workers=0, **kwargs)
+    return server, server.serve_one(JobRequest(scenario))
 
 
 def test_fleet_matches_serial_happy_path(tmp_path):
@@ -124,12 +132,11 @@ def test_fully_dead_fleet_fails_fast_not_hangs(tmp_path):
 
 
 def test_no_worker_ever_registers_fails_fast():
-    coord = FleetCoordinator(
-        "_fleet_synth", port=0, no_worker_timeout_s=0.3).start()
+    coord, job = one_job_daemon("_fleet_synth", no_worker_timeout_s=0.3)
     try:
         assert coord.wait(timeout=15.0)
-        assert coord.result is None
-        assert "no worker ever registered" in coord.error
+        assert job.result is None
+        assert "no worker ever registered" in job.error
     finally:
         coord.close()
 
@@ -144,8 +151,7 @@ def test_poison_point_quarantines_and_aborts(tmp_path, fast_config):
 
 
 def test_worker_refuses_on_request_key_mismatch(monkeypatch):
-    coord = FleetCoordinator("_fleet_synth", port=0,
-                             no_worker_timeout_s=10.0).start()
+    coord, _ = one_job_daemon("_fleet_synth", no_worker_timeout_s=10.0)
     try:
         monkeypatch.setattr("repro.fabric.worker.request_key",
                             lambda *a, **k: "f" * 64)
@@ -158,23 +164,31 @@ def test_worker_refuses_on_request_key_mismatch(monkeypatch):
         coord.close()
 
 
-def test_coordinator_register_rejects_foreign_key(tmp_path):
-    # The coordinator-side check: a worker re-registering with a stale
-    # key (its own code changed between sweeps) is refused outright.
-    coord = FleetCoordinator("_fleet_synth", port=0,
-                             no_worker_timeout_s=10.0).start()
+def test_register_refuses_a_protocol_version_mismatch(monkeypatch):
+    # A worker speaking another protocol version is refused at
+    # registration, before it can lease a single point — both on the
+    # wire and loudly in the worker.
+    coord, _ = one_job_daemon("_fleet_synth", no_worker_timeout_s=10.0)
     try:
         import socket as socket_mod
 
         from repro.wire import recv_msg, send_msg
-        sock = socket_mod.create_connection(("127.0.0.1", coord.port))
-        stream = sock.makefile("rwb")
-        send_msg(stream, {"type": "register", "worker": "stale",
-                          "capacity": 1, "request_key": "0" * 64})
-        reply = recv_msg(stream)
+        with socket_mod.create_connection(("127.0.0.1", coord.port)) as sock:
+            stream = sock.makefile("rwb")
+            send_msg(stream, {"type": "register", "worker": "old",
+                              "capacity": 1, "version": PROTOCOL_VERSION - 1})
+            reply = recv_msg(stream)
+            stream.close()
         assert reply["type"] == "error"
-        assert "request key mismatch" in reply["message"]
-        sock.close()
+        assert "protocol version mismatch" in reply["message"]
+
+        monkeypatch.setattr("repro.fabric.worker.PROTOCOL_VERSION",
+                            PROTOCOL_VERSION + 1)
+        worker = FleetWorker(
+            Address.parse(f"127.0.0.1:{coord.port}", None), name="new")
+        with pytest.raises(FleetError, match="protocol version mismatch"):
+            worker.run()
+        assert coord.fleet.live() == []
     finally:
         coord.close()
 
@@ -184,8 +198,7 @@ def test_oversized_frame_is_refused_and_coordinator_keeps_serving(monkeypatch):
 
     from repro import wire
 
-    coord = FleetCoordinator("_fleet_synth", port=0,
-                             no_worker_timeout_s=10.0).start()
+    coord, _ = one_job_daemon("_fleet_synth", no_worker_timeout_s=10.0)
     try:
         monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
         frame = wire.encode({"type": "register", "worker": "flood",
@@ -202,15 +215,15 @@ def test_oversized_frame_is_refused_and_coordinator_keeps_serving(monkeypatch):
             sock.close()
         assert b"registered" not in reply and b"reregister" not in reply
         assert reply == b"" or b"oversized frame" in reply
-        assert coord.tracker.live_workers() == []
+        assert coord.fleet.live() == []
 
         monkeypatch.undo()  # the registered reply is longer than 64 bytes
-        sock = socket_mod.create_connection(("127.0.0.1", coord.port))
-        stream = sock.makefile("rwb")
-        wire.send_msg(stream, {"type": "register", "worker": "w0",
-                               "capacity": 1, "request_key": coord.key})
-        assert wire.recv_msg(stream)["type"] == "registered"
-        sock.close()
+        with socket_mod.create_connection(("127.0.0.1", coord.port)) as sock:
+            stream = sock.makefile("rwb")
+            wire.send_msg(stream, {"type": "register", "worker": "w0",
+                                   "capacity": 1, "version": PROTOCOL_VERSION})
+            assert wire.recv_msg(stream)["type"] == "registered"
+            stream.close()
     finally:
         coord.close()
 
@@ -233,8 +246,8 @@ def test_point_cache_prefill_keeps_bytes_identical(tmp_path):
 
 
 def test_fleet_metrics_render(tmp_path):
-    coord = FleetCoordinator("_fleet_synth", port=0,
-                             no_worker_timeout_s=30.0, linger_s=0.2).start()
+    coord, _ = one_job_daemon("_fleet_synth", no_worker_timeout_s=30.0,
+                              linger_s=0.2)
     worker = FleetWorker(Address.parse(f"127.0.0.1:{coord.port}", None),
                          name="w0", heartbeat_s=0.05)
     t = threading.Thread(target=worker.run, daemon=True)
@@ -242,9 +255,9 @@ def test_fleet_metrics_render(tmp_path):
     try:
         assert coord.wait(timeout=30.0)
         text = coord.render_metrics()
-        assert "repro_fleet_completed 8" in text
-        assert "repro_fleet_quarantined 0" in text
-        assert 'repro_fleet_frames_total{type="heartbeat"}' in text
+        assert 'repro_serve_jobs_total{outcome="done"} 1' in text
+        assert 'repro_serve_frames_total{type="result"} 8' in text
+        assert 'repro_serve_frames_total{type="heartbeat"}' in text
     finally:
         coord.close()
         t.join(timeout=5.0)

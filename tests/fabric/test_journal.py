@@ -6,6 +6,13 @@ KEY = "a" * 64
 OTHER_KEY = "b" * 64
 
 
+def _resumed(path, total):
+    """The points a fresh incarnation recovers (its journal closed)."""
+    journal = Journal(path, KEY, "synth", total=total).open()
+    journal.close()
+    return journal.resumed
+
+
 def test_resume_recovers_recorded_points(tmp_path):
     path = tmp_path / "j.jsonl"
     first = Journal(path, KEY, "synth", total=4).open()
@@ -22,6 +29,7 @@ def test_resume_recovers_recorded_points(tmp_path):
     second.record(1, {"y": 1.5}, 0.2)
     second.close()
     third = Journal(path, KEY, "synth", total=4).open()
+    third.close()
     assert sorted(third.resumed) == [0, 1, 2]
 
 
@@ -31,7 +39,7 @@ def test_float_values_round_trip_exactly(tmp_path):
     j = Journal(path, KEY, "synth", total=1).open()
     j.record(0, values, 0.1)
     j.close()
-    resumed = Journal(path, KEY, "synth", total=1).open().resumed
+    resumed = _resumed(path, total=1)
     assert resumed[0][0] == values  # bit-exact, not approximately
 
 
@@ -42,6 +50,7 @@ def test_stale_journal_is_discarded_not_merged(tmp_path):
     old.close()
 
     fresh = Journal(path, KEY, "synth", total=4).open()
+    fresh.close()
     assert fresh.resumed == {}
     assert fresh.discarded_stale
 
@@ -55,7 +64,7 @@ def test_torn_tail_is_dropped(tmp_path):
     with path.open("a", encoding="utf-8") as fh:
         fh.write('{"index": 2, "values": {"y"')  # crash mid-write
 
-    resumed = Journal(path, KEY, "synth", total=4).open().resumed
+    resumed = _resumed(path, total=4)
     assert sorted(resumed) == [0, 1]
 
 
@@ -69,7 +78,7 @@ def test_duplicate_and_out_of_range_lines_are_ignored(tmp_path):
         fh.write('{"index": 7, "values": {"y": 1.0}}\n')  # out of range
         fh.write('{"values": {"y": 1.0}}\n')  # missing index
 
-    resumed = Journal(path, KEY, "synth", total=2).open().resumed
+    resumed = _resumed(path, total=2)
     assert resumed == {0: ({"y": 1.0}, 0.1)}  # first occurrence wins
 
 

@@ -40,8 +40,10 @@ request_strategy = st.fixed_dictionaries({
 })
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def prop_server(tmp_path_factory):
+    # Function-scoped: the daemon and its pool end with the test, which
+    # the thread and child-process guard in tests/conftest.py checks.
     sock = tmp_path_factory.mktemp("serve") / "prop.sock"
     srv = ReproServer(socket_path=sock, workers=2).start()
     try:

@@ -126,11 +126,15 @@ def test_identical_requests_coalesce(table):
 
 def test_different_requests_get_distinct_jobs(table):
     base, _ = table.admit(REQ)
+    # Pin each mode to the opposite of the base's (the environment's),
+    # so the test holds under REPRO_SIM_REFERENCE/REPRO_MODEL_REFERENCE.
     for other in (
         JobRequest(scenario="_serve_synth", seed=2),
         JobRequest(scenario="_serve_synth", seed=1, overrides={"k": [0, 1]}),
-        JobRequest(scenario="_serve_synth", seed=1, reference_engine=True),
-        JobRequest(scenario="_serve_synth", seed=1, reference_model=True),
+        JobRequest(scenario="_serve_synth", seed=1,
+                   reference_engine=not base.ctx.engine_reference),
+        JobRequest(scenario="_serve_synth", seed=1,
+                   reference_model=not base.ctx.model_reference),
     ):
         job, created = table.admit(other)
         assert created and job is not base and job.key != base.key

@@ -9,6 +9,7 @@ attempts.
 """
 
 import io
+import socket
 import threading
 import time
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.serve import Address, ReproServer, retry_delays, wait_for_server
+from repro.serve.client import connect
 
 
 def test_retry_delays_are_exponential_with_jitter():
@@ -87,3 +89,20 @@ def test_unreachable_control_verbs_exit_4(tmp_path):
         ["submit", "--status", "--socket", str(tmp_path / "none.sock")],
         out=buf)
     assert code == 4 and "cannot reach daemon" in buf.getvalue()
+
+
+def test_failed_connect_closes_its_socket(tmp_path, monkeypatch):
+    """Every retry against an absent daemon must not leak an fd."""
+    made = []
+
+    class Recorded(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(socket, "socket", Recorded)
+    for _ in range(3):
+        with pytest.raises(OSError):
+            connect(Address(socket_path=tmp_path / "none.sock"), timeout=1.0)
+    assert len(made) == 3
+    assert all(sock.fileno() == -1 for sock in made)  # all closed
