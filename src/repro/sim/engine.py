@@ -22,7 +22,8 @@ Engine internals (see ``docs/PERFORMANCE.md`` for the full contract):
   ``REPRO_SIM_REFERENCE=1``) runs the pre-overhaul ``step()``-per-event
   loop without pooling or fast dispatch. Both modes must produce
   identical ``(time, priority, seq, event-class)`` traces — the
-  determinism tests and ``benchmarks/run_perf.py`` assert exactly that.
+  determinism tests assert exactly that, and the count budget
+  (``tests/test_count_budget.py``) holds both loops to one event cap.
 """
 
 from __future__ import annotations

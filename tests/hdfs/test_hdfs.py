@@ -230,10 +230,11 @@ def test_datanode_stream_limit_serializes():
     node = nodes[0]
     dn = nn.datanode(node.node_id)
     dn._streams.capacity = 1
-    meta = client.ingest_file("/data", 128 * MB, placement="contiguous")
+    # Eight 64 MB blocks over two nodes: contiguous placement puts the
+    # first four on this node.
+    meta = client.ingest_file("/data", 512 * MB, placement="contiguous")
     blocks = [b for b in meta.blocks if b.locations[0] == node.node_id]
-    if len(blocks) < 2:
-        pytest.skip("placement did not co-locate two blocks")
+    assert len(blocks) >= 2
     ends = []
 
     def go(b):

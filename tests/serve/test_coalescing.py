@@ -34,6 +34,44 @@ def concurrent_submits(address, requests):
     return results
 
 
+def submit_twice_while_held(server, address, req):
+    """Submit ``req``, then submit it again while the first job is held
+    before it runs, so the second submit provably finds it live. Returns
+    each connection's event list."""
+    release = threading.Event()
+    run_job = server._run_job
+
+    def held_run_job(job, hit):
+        release.wait(60)
+        run_job(job, hit)
+
+    server._run_job = held_run_job
+    results = [[], []]
+    accepted = [threading.Event(), threading.Event()]
+
+    def worker(i):
+        for ev in request_stream(address, dict(req)):
+            results[i].append(ev)
+            accepted[i].set()
+        accepted[i].set()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    started = []
+    try:
+        for t, acc in zip(threads, accepted):
+            t.start()
+            started.append(t)
+            assert acc.wait(30), "a submit was never accepted"
+    finally:
+        release.set()
+        del server._run_job
+        for t in started:
+            t.join(timeout=120)
+    assert all(results) and not any(t.is_alive() for t in threads), \
+        "a submit never finished"
+    return results
+
+
 def test_eight_identical_submits_execute_once(server, address):
     offline = run_sweep("_serve_slow", seed=1234, workers=1)
     req = protocol.submit_request("_serve_slow", seed=1234)
@@ -102,7 +140,7 @@ def test_mode_combinations_coalesce_and_match_offline(server, address):
                 "fig8", overrides, seed=1234,
                 reference_engine=ref_engine, reference_model=ref_model,
             )
-            results = concurrent_submits(address, [dict(req), dict(req)])
+            results = submit_twice_while_held(server, address, req)
             assert {evs[0]["job"] for evs in results} and \
                 sum(evs[0]["coalesced"] for evs in results) == 1
             for evs in results:
