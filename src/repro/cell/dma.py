@@ -15,11 +15,11 @@ async issue/wait API shaped like ``mfc_get``/``mfc_put`` + tag waits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
 from repro.sim.engine import Environment
-from repro.sim.events import Event, Process
+from repro.sim.events import Process
 from repro.sim.pipes import Pipe
 from repro.sim.resources import Resource
 
@@ -101,11 +101,6 @@ class DMAEngine:
         """Async transfer memory→local store; returns a joinable process."""
         self.validate(nbytes, ls_offset)
         return self.env.process(self._do_transfer(nbytes, inbound=True), name="dma-get")
-
-    def issue_put(self, nbytes: int, ls_offset: int = 0) -> Process:
-        """Async transfer local store→memory; returns a joinable process."""
-        self.validate(nbytes, ls_offset)
-        return self.env.process(self._do_transfer(nbytes, inbound=False), name="dma-put")
 
     def get(self, nbytes: int, ls_offset: int = 0) -> Generator:
         """Blocking get: validate + transfer inline.

@@ -278,25 +278,10 @@ class OffloadRuntime:
         never queue. The last SPE therefore finishes after two DMA issue
         latencies, ``nspe + 1`` bus slices, and one compute span.
         """
-        return self._samples_time_base() + samples / socket_rate
-
-    def _samples_time_base(self) -> float:
-        """The samples-independent part of :meth:`analytic_samples_time`
-        (DMA issue latencies plus the serialized seed bus slices)."""
         nspe = self.cell.spe_count
         bus_slice = self.PI_DMA_BYTES / self.calib.dma_bus_bw
-        return 2 * self.cell.calib.dma_request_latency_s + (nspe + 1) * bus_slice
-
-    def analytic_samples_time_batch(self, samples, socket_rate: float) -> np.ndarray:
-        """Vectorized :meth:`analytic_samples_time` for a wave of tasks.
-
-        One array op computes every composite-event duration; each
-        element is bit-identical to the scalar path (the base term is
-        evaluated once with the same association, then ``+ s / rate``
-        applies the same IEEE-754 ops per element).
-        """
-        s = np.asarray(samples, dtype=np.float64)
-        return self._samples_time_base() + s / socket_rate
+        base = 2 * self.cell.calib.dma_request_latency_s + (nspe + 1) * bus_slice
+        return base + samples / socket_rate
 
     def offload_samples(
         self, samples: float, socket_rate: float, lead_s: float = 0.0

@@ -15,7 +15,7 @@ internal structure to simulate).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.perf.calibration import Backend, CalibrationProfile, MB, PAPER_CALIBRATION
 from repro.perf.kernels import make_aes_model, make_pi_model
@@ -83,11 +83,10 @@ def raw_encryption_bandwidth(
                 _cell_offload_time(backend, nbytes, calib) for nbytes in byte_counts
             ]
         else:
-            # Whole Java curve in one vectorized evaluation (bit-identical
-            # per point to the scalar time_for).
-            elapsed_per_size = make_aes_model(calib, backend).time_for_batch(byte_counts)
+            model = make_aes_model(calib, backend)
+            elapsed_per_size = [model.time_for(nbytes) for nbytes in byte_counts]
         ys = [
-            float(nbytes / elapsed / MB)
+            nbytes / elapsed / MB
             for nbytes, elapsed in zip(byte_counts, elapsed_per_size)
         ]
         out.append(Series(label=_LABELS[backend], xs=xs, ys=ys, backend=backend))
@@ -120,7 +119,8 @@ def raw_pi_rates(
         if backend is Backend.CELL_SPE_DIRECT:
             elapsed_per_count = [_cell_pi_time(s, calib) for s in sample_counts]
         else:
-            elapsed_per_count = make_pi_model(calib, backend).time_for_batch(sample_counts)
-        ys = [float(s / elapsed) for s, elapsed in zip(sample_counts, elapsed_per_count)]
+            model = make_pi_model(calib, backend)
+            elapsed_per_count = [model.time_for(s) for s in sample_counts]
+        ys = [s / elapsed for s, elapsed in zip(sample_counts, elapsed_per_count)]
         out.append(Series(label=_LABELS[backend], xs=xs, ys=ys, backend=backend))
     return out

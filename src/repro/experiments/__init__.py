@@ -14,8 +14,8 @@ Public surface:
   journal and assembly policy every sweep path shares.
 - :class:`~repro.experiments.pool.SweepPool` /
   :func:`~repro.experiments.pool.shared_pool` — persistent worker pools
-  that amortize fork cost across sweeps (``REPRO_SWEEP_START_METHOD``
-  overrides the start method).
+  that amortize fork cost across sweeps (``fork`` where available,
+  ``spawn`` otherwise).
 - :func:`~repro.experiments.cache.cached_sweep` — whole-sweep *and*
   per-point result caching; incremental re-sweeps after grid tweaks.
 - :func:`~repro.experiments.driver.run_shard` /

@@ -13,10 +13,8 @@ The wrinkles the pool handles:
 
 - **Start method.** ``fork`` is preferred (cheap, and children inherit
   the scenario registry so test-registered scenarios sweep too); where
-  it is unavailable the pool falls back to ``spawn``. The environment
-  variable ``REPRO_SWEEP_START_METHOD`` overrides the choice
-  (``fork``/``spawn``/``forkserver``), and the method actually used is
-  surfaced as non-canonical ``SweepResult.start_method`` metadata.
+  it is unavailable the pool falls back to ``spawn``. The method used
+  is surfaced as non-canonical ``SweepResult.start_method`` metadata.
 - **Registry staleness.** A forked pool snapshots the parent's scenario
   registry at creation. Registering a scenario afterwards bumps
   :func:`repro.experiments.registry.epoch`; the pool notices on its
@@ -47,7 +45,6 @@ from __future__ import annotations
 import atexit
 import logging
 import multiprocessing
-import os
 import threading
 from queue import Empty, SimpleQueue
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -55,41 +52,21 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from repro.experiments import registry
 
 __all__ = [
-    "START_METHOD_ENV",
     "SweepPool",
     "close_shared_pools",
     "resolve_start_method",
     "shared_pool",
 ]
 
-START_METHOD_ENV = "REPRO_SWEEP_START_METHOD"
-
 _END = object()  # run_tasks: the task source is exhausted
 
 logger = logging.getLogger("repro.pool")
 
 
-def resolve_start_method(override: Optional[str] = None) -> str:
-    """The multiprocessing start method sweeps will use.
-
-    Precedence: explicit ``override`` argument, then the
-    ``REPRO_SWEEP_START_METHOD`` environment variable, then ``fork``
-    where available (``spawn`` otherwise). An unsupported name raises
-    ``ValueError`` naming the platform's available methods — previously
-    platforms without fork silently changed behavior; now the choice is
-    explicit and inspectable.
-    """
-    available = multiprocessing.get_all_start_methods()
-    choice = override if override is not None else os.environ.get(START_METHOD_ENV)
-    if choice:
-        if choice not in available:
-            raise ValueError(
-                f"unsupported sweep start method {choice!r} (via "
-                f"{START_METHOD_ENV} or override); available on this "
-                f"platform: {', '.join(available)}"
-            )
-        return choice
-    return "fork" if "fork" in available else "spawn"
+def resolve_start_method() -> str:
+    """The multiprocessing start method sweeps use: ``fork`` where
+    available, ``spawn`` otherwise."""
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 class SweepPool:
@@ -102,11 +79,11 @@ class SweepPool:
     never closes a pool it was handed.
     """
 
-    def __init__(self, workers: int, start_method: Optional[str] = None):
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.start_method = resolve_start_method(start_method)
+        self.start_method = resolve_start_method()
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._registry_epoch: Optional[int] = None
         self._lock = threading.Lock()
@@ -270,21 +247,19 @@ class SweepPool:
         self.close()
 
 
-#: Session-shared pools, keyed by (workers, start method). run_sweep
+#: Session-shared pools, keyed by worker count. run_sweep
 #: defaults to these, so the CLI, the perf harness, and the golden/sweep
 #: tests all amortize worker startup without any explicit plumbing.
-_SHARED: dict[tuple[int, str], SweepPool] = {}
+_SHARED: dict[int, SweepPool] = {}
 _SHARED_LOCK = threading.Lock()
 
 
-def shared_pool(workers: int, start_method: Optional[str] = None) -> SweepPool:
+def shared_pool(workers: int) -> SweepPool:
     """The session-wide persistent pool for ``workers`` processes."""
-    method = resolve_start_method(start_method)
-    key = (workers, method)
     with _SHARED_LOCK:
-        pool = _SHARED.get(key)
+        pool = _SHARED.get(workers)
         if pool is None:
-            pool = _SHARED[key] = SweepPool(workers, method)
+            pool = _SHARED[workers] = SweepPool(workers)
         return pool
 
 

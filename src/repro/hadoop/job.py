@@ -193,12 +193,6 @@ class JobResult:
         return self.finish_time - self.submit_time
 
     @property
-    def map_phase_s(self) -> float:
-        if self.maps_done_time < 0:
-            return float("nan")
-        return self.maps_done_time - self.submit_time
-
-    @property
     def kernel_busy_s(self) -> float:
         """Total kernel-active seconds across all task attempts."""
         return sum(t.kernel_busy_s for t in self.tasks)

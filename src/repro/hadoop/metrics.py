@@ -4,22 +4,18 @@ The paper's argument is a time-accounting argument ("most of the
 application time is spent on the Hadoop communication processes"). This
 module reconstructs that accounting from a finished job: per-task and
 per-job breakdowns of delivery time vs. kernel time vs. runtime
-overhead, plus slot-utilization views — the numbers behind statements
-like "the runtime is the main limiting factor".
+overhead — the numbers behind statements like "the runtime is the main
+limiting factor".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
 
 from repro.hadoop.job import JobResult, TaskKind
-from repro.perf.calibration import Backend, CalibrationProfile
+from repro.perf.calibration import CalibrationProfile
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.simexec import SimulatedCluster
-
-__all__ = ["JobPhaseBreakdown", "analyze_job", "slot_utilization"]
+__all__ = ["JobPhaseBreakdown", "analyze_job"]
 
 
 @dataclass
@@ -102,16 +98,3 @@ def analyze_job(result: JobResult, calib: CalibrationProfile) -> JobPhaseBreakdo
         input_bytes=input_bytes,
     )
 
-
-def slot_utilization(result: JobResult, total_slots: int) -> float:
-    """Fraction of (slots × makespan) actually occupied by task attempts.
-
-    Low utilization with a short job = heartbeat-wave dominated (the
-    Fig. 7/8 runtime floor); high utilization = work-bound.
-    """
-    if total_slots < 1:
-        raise ValueError("total_slots must be >= 1")
-    if result.makespan_s <= 0:
-        return 0.0
-    busy = sum(t.duration for t in result.tasks if t.state == "done")
-    return min(1.0, busy / (total_slots * result.makespan_s))

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.perf.calibration import Backend, CalibrationProfile
 
 __all__ = ["KernelPerfModel", "RatePerfModel", "SamplesPerfModel", "make_aes_model", "make_pi_model"]
@@ -30,17 +28,6 @@ class KernelPerfModel:
 
     def time_for(self, work: float) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def time_for_batch(self, works) -> np.ndarray:
-        """Durations for a whole wave of work amounts at once.
-
-        Returns a float64 array aligned with ``works``. The base
-        implementation is the scalar loop; the analytic subclasses
-        override it with one array expression that is bit-identical to
-        the scalar path (same IEEE-754 operation order per element), so
-        callers may batch without perturbing golden-pinned timings.
-        """
-        return np.array([self.time_for(float(w)) for w in works], dtype=np.float64)
 
     def effective_rate(self, work: float) -> float:
         """Work units per second including startup amortization."""
@@ -73,13 +60,6 @@ class RatePerfModel(KernelPerfModel):
             return 0.0
         return self.startup_s + work / self.bandwidth_bps
 
-    def time_for_batch(self, works) -> np.ndarray:
-        w = np.asarray(works, dtype=np.float64)
-        if w.size and w.min() < 0:
-            raise ValueError("work must be non-negative")
-        # Same per-element operation order as time_for: divide, then add.
-        return np.where(w == 0.0, 0.0, self.startup_s + w / self.bandwidth_bps)
-
 
 @dataclass(frozen=True)
 class SamplesPerfModel(KernelPerfModel):
@@ -100,12 +80,6 @@ class SamplesPerfModel(KernelPerfModel):
         if work == 0:
             return 0.0
         return self.startup_s + work / self.rate_per_s
-
-    def time_for_batch(self, works) -> np.ndarray:
-        w = np.asarray(works, dtype=np.float64)
-        if w.size and w.min() < 0:
-            raise ValueError("work must be non-negative")
-        return np.where(w == 0.0, 0.0, self.startup_s + w / self.rate_per_s)
 
 
 def make_aes_model(calib: CalibrationProfile, backend: Backend) -> RatePerfModel:

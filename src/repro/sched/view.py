@@ -347,8 +347,6 @@ class ClusterView:
         self._tracker_views: dict[int, TrackerView] = {}
         self._trackers_cache: list[TrackerView] = []
         self._total_map_slots = 0
-        self._any_cells = False
-        self._any_gpus = False
 
     @property
     def now(self) -> float:
@@ -403,8 +401,6 @@ class ClusterView:
         self._tracker_views = table
         self._trackers_cache = list(table.values())
         self._total_map_slots = sum(t.map_slots for t in self._trackers_cache)
-        self._any_cells = any(t.has_cells for t in self._trackers_cache)
-        self._any_gpus = any(t.has_gpus for t in self._trackers_cache)
         self._members_epoch = jt._membership_epoch
 
     def tracker(self, tracker_id: int) -> TrackerView:
@@ -431,14 +427,6 @@ class ClusterView:
     def total_map_slots(self) -> int:
         self._refresh_trackers()
         return self._total_map_slots
-
-    def any_tracker_with_cells(self) -> bool:
-        self._refresh_trackers()
-        return self._any_cells
-
-    def any_tracker_with_gpus(self) -> bool:
-        self._refresh_trackers()
-        return self._any_gpus
 
 
 class SyntheticJob:
@@ -582,9 +570,3 @@ class SyntheticView:
     @property
     def total_map_slots(self) -> int:
         return sum(t.map_slots for t in self.trackers())
-
-    def any_tracker_with_cells(self) -> bool:
-        return any(t.has_cells for t in self.trackers())
-
-    def any_tracker_with_gpus(self) -> bool:
-        return any(t.has_gpus for t in self.trackers())

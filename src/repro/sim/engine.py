@@ -35,7 +35,6 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from repro import runctx
 from repro.sim.events import (
     AllOf,
-    AnyOf,
     Environment_NORMAL,
     Environment_URGENT,
     Event,
@@ -98,7 +97,6 @@ class Environment:
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_proc: Optional[Process] = None
         self._processed_count = 0
         self._reference = (runctx.current().engine_reference if reference is None
                            else bool(reference))
@@ -113,19 +111,9 @@ class Environment:
         return self._now
 
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_proc
-
-    @property
     def processed_events(self) -> int:
         """Total number of events processed so far (monitoring aid)."""
         return self._processed_count
-
-    @property
-    def is_reference(self) -> bool:
-        """True when this environment runs the reference event loop."""
-        return self._reference
 
     # -- event tracing -----------------------------------------------------------
     def capture_trace(self, sink: Optional[list] = None) -> list:
@@ -156,10 +144,10 @@ class Environment:
         """A recycled :class:`Timeout` from the engine's free-list.
 
         Contract: the returned event must be yielded immediately and
-        never stored, composed (``AllOf``/``AnyOf``), or inspected after
+        never stored, composed into an :class:`AllOf`, or inspected after
         it resumes the waiter — the engine reclaims the object as soon as
-        its callbacks have run. Internal hot paths (pipes, heartbeat
-        sleeps, service delays) use this; general code should call
+        its callbacks have run. Internal hot paths (pipes, Cell offloads,
+        service delays) use this; general code should call
         :meth:`timeout`. In reference mode this degrades to a plain
         :meth:`timeout` so both engine modes stay trace-identical while
         the reference loop keeps the pre-overhaul allocation behaviour.
@@ -247,10 +235,6 @@ class Environment:
     def all_of(self, events) -> AllOf:
         """Event that triggers when all ``events`` have triggered."""
         return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Event that triggers when any of ``events`` has triggered."""
-        return AnyOf(self, events)
 
     # -- scheduling -------------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
@@ -428,15 +412,12 @@ class Environment:
                             # Inline Process._resume's dominant leg.
                             proc = cb.__self__
                             if event is proc._target:  # else: stale wakeup, drop
-                                self._active_proc = proc
                                 proc._target = None
                                 try:
                                     nxt = proc.gen.send(event._value)
                                 except StopIteration as stop:
-                                    self._active_proc = None
                                     proc.succeed(stop.value)
                                 except BaseException as exc:
-                                    self._active_proc = None
                                     proc.fail(exc)
                                 else:
                                     if (
@@ -446,7 +427,6 @@ class Environment:
                                     ):
                                         nxt.callbacks.append(cb)
                                         proc._target = nxt
-                                        self._active_proc = None
                                     else:
                                         proc._after_yield(nxt)
                         else:

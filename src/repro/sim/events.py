@@ -16,8 +16,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "ConditionValue",
     "Event",
     "Interrupt",
     "Process",
@@ -123,13 +121,6 @@ class Event:
             self.fail(event._exc)
         else:
             self.succeed(event._value)
-
-    # -- composition -------------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
@@ -281,8 +272,6 @@ class Process(Event):
             # from (see interrupt()); the exception, if any, stays
             # un-defused exactly as under eager callback removal.
             return
-        env = self.env
-        env._active_proc = self
         self._target = None
         try:
             if event._exc is None:
@@ -291,24 +280,21 @@ class Process(Event):
                 event._defused = True
                 nxt = self.gen.throw(event._exc)
         except StopIteration as stop:
-            env._active_proc = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            env._active_proc = None
             self.fail(exc)
             return
         # Dominant continuation inlined: a fresh pending event in this
         # environment — subscribe without a second call frame.
-        if isinstance(nxt, Event) and nxt.env is env and not nxt._processed:
+        if isinstance(nxt, Event) and nxt.env is self.env and not nxt._processed:
             nxt.callbacks.append(self._resume)
             self._target = nxt
-            env._active_proc = None
             return
         self._after_yield(nxt)
 
     def _after_yield(self, nxt: Any) -> None:
-        """Handle a just-yielded value (``env._active_proc`` is set).
+        """Handle a just-yielded value.
 
         Subscribes to a pending event, loops through already-processed
         events without a scheduler trip, and converts bad yields into
@@ -321,7 +307,6 @@ class Process(Event):
                 if not nxt._processed:
                     nxt.callbacks.append(self._resume)
                     self._target = nxt
-                    env._active_proc = None
                     return
                 # Already resolved: advance immediately.
                 try:
@@ -331,15 +316,12 @@ class Process(Event):
                         nxt._defused = True
                         nxt = gen.throw(nxt._exc)
                 except StopIteration as stop:
-                    env._active_proc = None
                     self.succeed(stop.value)
                     return
                 except BaseException as exc:
-                    env._active_proc = None
                     self.fail(exc)
                     return
                 continue
-            env._active_proc = None
             if not isinstance(nxt, Event):
                 self.fail(TypeError(f"process {self.name!r} yielded non-event {nxt!r}"))
             else:
@@ -350,35 +332,12 @@ class Process(Event):
         return f"<Process {self.name!r} {'dead' if self._triggered else 'alive'}>"
 
 
-class ConditionValue:
-    """Ordered mapping of the events a condition collected, with values."""
+class AllOf(Event):
+    """Triggers when every component event has triggered successfully.
 
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self.events:
-            raise KeyError(event)
-        return event._value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def todict(self) -> dict[Event, Any]:
-        return {e: e._value for e in self.events}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class _Condition(Event):
-    """Base for AllOf / AnyOf composition events."""
+    Its value maps each component event to that event's value. The first
+    component failure fails the condition; later failures are defused.
+    """
 
     __slots__ = ("_events", "_count")
 
@@ -396,7 +355,7 @@ class _Condition(Event):
             else:
                 evt.callbacks.append(self._check)
         if not self._events and not self._triggered:
-            self.succeed(ConditionValue())
+            self.succeed({})
 
     def _check(self, event: Event) -> None:
         if self._triggered:
@@ -407,28 +366,5 @@ class _Condition(Event):
         if event._exc is not None:
             event._defused = True
             self.fail(event._exc)
-        elif self._evaluate():
-            value = ConditionValue()
-            value.events = [e for e in self._events if e._triggered and e._exc is None]
-            self.succeed(value)
-
-    def _evaluate(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when every component event has triggered successfully."""
-
-    __slots__ = ()
-
-    def _evaluate(self) -> bool:
-        return self._count >= len(self._events)
-
-
-class AnyOf(_Condition):
-    """Triggers when at least one component event has triggered."""
-
-    __slots__ = ()
-
-    def _evaluate(self) -> bool:
-        return self._count >= 1 or not self._events
+        elif self._count >= len(self._events):
+            self.succeed({e: e._value for e in self._events})

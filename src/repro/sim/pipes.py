@@ -94,11 +94,6 @@ class Pipe:
         self.transfer_count += 1
         return nbytes
 
-    @property
-    def utilization_busy(self) -> bool:
-        """True when a transfer currently holds the channel."""
-        return self._channel.count > 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Pipe {self.name!r} {self.bandwidth_bps / 1e6:.1f} MB/s>"
 

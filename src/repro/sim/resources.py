@@ -1,17 +1,16 @@
-"""Contention primitives: resources, containers, and stores.
+"""Contention primitives: resources and stores.
 
-These model the queuing behaviour of shared hardware: CPU cores and mapper
-slots are :class:`Resource`\\ s, DMA in-flight request slots are a
-:class:`Resource` with capacity 16, memory/disk space is a
-:class:`Container`, and message queues (JobTracker inbox, DataNode request
-queues) are :class:`Store`\\ s.
+These model the queuing behaviour of shared hardware: PPE cores, SPEs,
+pipe channels and DataNode streams are :class:`Resource`\\ s, and DMA
+in-flight request slots are a :class:`Resource` with capacity 16. The
+one :class:`Store` is the bounded record pipeline between a map task's
+reader and its kernel.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.sim.events import Event
 
@@ -20,9 +19,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Claim",
-    "Container",
-    "PriorityRequest",
-    "PriorityResource",
     "Release",
     "Request",
     "Resource",
@@ -62,17 +58,6 @@ class Request(Event):
     def cancel(self) -> None:
         """Release if granted, withdraw from the queue otherwise."""
         self.resource.release(self)
-
-
-class PriorityRequest(Request):
-    """A request with an explicit priority (lower value = served first)."""
-
-    __slots__ = ("priority", "seq")
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0):
-        self.priority = priority
-        self.seq = resource._next_seq()
-        super().__init__(resource)
 
 
 class Release(Event):
@@ -202,201 +187,8 @@ class Resource:
         return f"<Resource {self.count}/{self.capacity} queued={self.queued}>"
 
 
-class PriorityResource(Resource):
-    """A resource whose queue is ordered by request priority.
-
-    Cancellation is lazy here too: the pre-overhaul implementation
-    rebuilt and re-heapified the whole queue on every cancel (O(n));
-    withdrawn entries are now tombstoned, skipped at pop time, and
-    swept out by periodic compaction driven by a stale-entry counter.
-    """
-
-    def __init__(self, env: "Environment", capacity: int = 1):
-        super().__init__(env, capacity)
-        self._pqueue: list[tuple[int, int, PriorityRequest]] = []
-        self._pstale = 0
-        self._seq = 0
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    @property
-    def queued(self) -> int:
-        """Number of live (non-withdrawn) queued requests."""
-        return len(self._pqueue) - self._pstale
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def try_claim(self) -> Optional[Claim]:
-        if len(self.users) < self.capacity and len(self._pqueue) == self._pstale:
-            claim = Claim()
-            self.users.append(claim)
-            return claim
-        return None
-
-    def _do_request(self, request: Request) -> None:
-        assert isinstance(request, PriorityRequest)
-        if len(self.users) < self.capacity and len(self._pqueue) == self._pstale:
-            self.users.append(request)
-            request.succeed(self)
-        else:
-            heapq.heappush(self._pqueue, (request.priority, request.seq, request))
-
-    def release(self, request: Request) -> Release:
-        if request in self.users:
-            self.users.remove(request)
-            self._grant_next()
-        elif not request._triggered and not request._withdrawn:
-            request._withdrawn = True
-            self._pstale = stale = self._pstale + 1
-            if stale >= _COMPACT_MIN and stale * 2 >= len(self._pqueue):
-                self._pqueue = [entry for entry in self._pqueue if not entry[2]._withdrawn]
-                heapq.heapify(self._pqueue)
-                self._pstale = 0
-        return Release(self.env)
-
-    def _grant_next(self) -> None:
-        pqueue = self._pqueue
-        users = self.users
-        capacity = self.capacity
-        while pqueue and len(users) < capacity:
-            _p, _s, nxt = heapq.heappop(pqueue)
-            if nxt._withdrawn:
-                self._pstale -= 1
-                continue
-            users.append(nxt)
-            nxt.succeed(self)
-
-
-class Container:
-    """A homogeneous bulk quantity (bytes of RAM, disk space, energy).
-
-    ``put``/``get`` events trigger once the amount can be satisfied.
-    """
-
-    def __init__(self, env: "Environment", capacity: float = float("inf"), init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: deque[tuple[float, Event]] = deque()
-        self._putters: deque[tuple[float, Event]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def try_put(self, amount: float) -> bool:
-        """Synchronously add ``amount`` if it would be admitted immediately.
-
-        The put succeeds exactly when a fresh :meth:`put` event would
-        trigger without waiting: no queued putter precedes it (FIFO) and
-        the amount fits under ``capacity``. Returns ``False`` when the
-        caller must fall back to the event-based :meth:`put`. No event
-        object is created on either path, which collapses hot
-        reserve/consume chains (the same idea as
-        :meth:`Resource.try_claim` and the :class:`Store` fast paths).
-        """
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        if self._putters or self._level + amount > self.capacity:
-            return False
-        self._level += amount
-        if self._getters:
-            self._settle()
-        return True
-
-    def try_get(self, amount: float) -> bool:
-        """Synchronously remove ``amount`` if the level covers it now.
-
-        Succeeds exactly when a fresh :meth:`get` event would trigger
-        without waiting (no queued getter precedes it, level is
-        sufficient); returns ``False`` otherwise.
-        """
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        if self._getters or self._level < amount:
-            return False
-        self._level -= amount
-        if self._putters:
-            self._settle()
-        return True
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; triggers once it fits under ``capacity``.
-
-        Like :meth:`Store.put`, an immediately-satisfiable put (no queued
-        putter to preserve FIFO against, amount fits) completes
-        synchronously with a born-processed event, so a yielding process
-        resumes without a heap round trip.
-        """
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        evt = Event(self.env)
-        if not self._putters and self._level + amount <= self.capacity:
-            self._level += amount
-            evt._value = amount
-            evt._triggered = True
-            evt._processed = True
-            if self._getters:
-                self._settle()
-            return evt
-        self._putters.append((amount, evt))
-        self._settle()
-        return evt
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; triggers once the level can cover it.
-
-        Immediately-satisfiable gets take the same synchronous fast path
-        as :meth:`put` (see :meth:`Store.get` for the FIFO argument).
-        """
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        evt = Event(self.env)
-        if not self._getters and self._level >= amount:
-            self._level -= amount
-            evt._value = amount
-            evt._triggered = True
-            evt._processed = True
-            if self._putters:
-                self._settle()
-            return evt
-        self._getters.append((amount, evt))
-        self._settle()
-        return evt
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                amount, evt = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    evt.succeed(amount)
-                    progress = True
-            if self._getters:
-                amount, evt = self._getters[0]
-                if self._level >= amount:
-                    self._getters.popleft()
-                    self._level -= amount
-                    evt.succeed(amount)
-                    progress = True
-
-
 class Store:
-    """An unordered-capacity FIFO queue of Python objects.
-
-    Optionally a ``filter`` can be given to :meth:`get` to take the first
-    matching item (used for tagged message matching).
-    """
+    """A FIFO queue of Python objects, bounded by ``capacity``."""
 
     def __init__(self, env: "Environment", capacity: float = float("inf")):
         if capacity <= 0:
@@ -404,7 +196,7 @@ class Store:
         self.env = env
         self.capacity = capacity
         self.items: deque[Any] = deque()
-        self._getters: deque[tuple[Optional[Callable[[Any], bool]], Event]] = deque()
+        self._getters: deque[Event] = deque()
         self._putters: deque[tuple[Any, Event]] = deque()
 
     def __len__(self) -> int:
@@ -417,9 +209,9 @@ class Store:
         room available — the settled-state invariant makes this
         equivalent to queueing the putter and running a settle pass) the
         returned event is born processed: a process yielding it continues
-        immediately instead of taking a heap round trip. Hot message
-        loops (heartbeats, DataNode request queues) put once per
-        protocol round, so this removes one event per round.
+        immediately instead of taking a heap round trip. The record
+        pipeline puts once per record, so this removes one event per
+        record.
         """
         evt = Event(self.env)
         if not self._putters and len(self.items) < self.capacity:
@@ -437,37 +229,31 @@ class Store:
         self._settle()
         return evt
 
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> Event:
-        """Remove and return the first (matching) item when available.
+    def get(self) -> Event:
+        """Remove and return the first item when available.
 
         Like :meth:`put`, an immediately-satisfiable get (no queued
-        getters to preserve FIFO against, no putters whose admission
-        could precede this get in settle order) completes synchronously
-        with a pre-processed event.
+        getters to preserve FIFO against) completes synchronously with a
+        pre-processed event. A queued putter that the freed capacity can
+        now admit is handled by the settle pass, exactly as it would have
+        been after this getter in settle order.
         """
         evt = Event(self.env)
         if not self._getters and self.items:
-            # Immediate service (FIFO-safe: no queued getter precedes
-            # us). A queued putter that the freed capacity can now admit
-            # is handled by the settle pass, exactly as it would have
-            # been after this getter in the old settle order.
-            idx = self._find(filter)
-            if idx is not None:
-                item = self.items[idx]
-                del self.items[idx]
-                evt._value = item
-                evt._triggered = True
-                evt._processed = True
-                if self._putters:
-                    self._settle()
-                return evt
-        self._getters.append((filter, evt))
+            evt._value = self.items.popleft()
+            evt._triggered = True
+            evt._processed = True
+            if self._putters:
+                self._settle()
+            return evt
+        self._getters.append(evt)
         self._settle()
         return evt
 
     def _settle(self) -> None:
         items = self.items
         putters = self._putters
+        getters = self._getters
         capacity = self.capacity
         progress = True
         while progress:
@@ -478,28 +264,7 @@ class Store:
                 items.append(item)
                 evt.succeed(item)
                 progress = True
-            # Serve getters in FIFO order; a filtered getter that cannot
-            # be satisfied does not block later getters. Skip the scan
-            # entirely when there is nothing to match against.
-            getters = self._getters
-            if getters and items:
-                unserved: deque[tuple[Optional[Callable[[Any], bool]], Event]] = deque()
-                while getters:
-                    flt, evt = getters.popleft()
-                    idx = self._find(flt)
-                    if idx is None:
-                        unserved.append((flt, evt))
-                    else:
-                        item = items[idx]
-                        del items[idx]
-                        evt.succeed(item)
-                        progress = True
-                self._getters = getters = unserved
-
-    def _find(self, flt: Optional[Callable[[Any], bool]]) -> Optional[int]:
-        if flt is None:
-            return 0 if self.items else None
-        for i, item in enumerate(self.items):
-            if flt(item):
-                return i
-        return None
+            # Serve getters in FIFO order.
+            while getters and items:
+                getters.popleft().succeed(items.popleft())
+                progress = True

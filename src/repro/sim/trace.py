@@ -225,17 +225,6 @@ class Tracer:
                 continue
             yield rec
 
-    def select_spans(
-        self, category: Optional[str] = None, track: Optional[str] = None
-    ) -> Iterator[SpanRecord]:
-        """Iterate sealed spans matching the filters."""
-        for span in self.spans:
-            if category is not None and span.category != category:
-                continue
-            if track is not None and span.track != track:
-                continue
-            yield span
-
     def clear(self) -> None:
         self.records.clear()
         self.spans.clear()

@@ -6,36 +6,16 @@ import multiprocessing
 import pytest
 
 from repro.experiments import Scenario, register, run_sweep
-from repro.experiments.pool import (
-    START_METHOD_ENV,
-    SweepPool,
-    resolve_start_method,
-    shared_pool,
-)
+from repro.experiments.pool import SweepPool, resolve_start_method, shared_pool
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 # -- start-method resolution -------------------------------------------------
 
-def test_resolve_prefers_fork_where_available(monkeypatch):
-    monkeypatch.delenv(START_METHOD_ENV, raising=False)
+def test_resolve_prefers_fork_where_available():
     expected = "fork" if HAS_FORK else "spawn"
     assert resolve_start_method() == expected
-
-
-def test_resolve_env_override(monkeypatch):
-    monkeypatch.setenv(START_METHOD_ENV, "spawn")
-    assert resolve_start_method() == "spawn"
-    # An explicit argument outranks the environment.
-    if HAS_FORK:
-        assert resolve_start_method("fork") == "fork"
-
-
-def test_resolve_rejects_unsupported_method(monkeypatch):
-    monkeypatch.setenv(START_METHOD_ENV, "threads")
-    with pytest.raises(ValueError, match="threads.*available"):
-        resolve_start_method()
 
 
 def test_pool_validates_workers():

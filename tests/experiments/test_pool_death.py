@@ -9,6 +9,7 @@ bytes identical to a serial run — re-dispatch and deduplication must be
 invisible in the canonical output.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -32,6 +33,32 @@ SLOW = register(Scenario(
     x="k",
     curves=("y",),
     defaults={"delay_s": 0.25},
+), replace=True)
+
+
+#: While ``_OPEN`` is 0, each sweep's k=0 point signals ``_HELD`` and
+#: blocks on ``_GATE``, which nothing releases: only a pool reset ends
+#: the hold. Pool workers inherit all three at fork.
+_OPEN = multiprocessing.RawValue("b", 1)
+_HELD = multiprocessing.Semaphore(0)
+_GATE = multiprocessing.Semaphore(0)
+
+
+def death_held_point(cfg):
+    if cfg["k"] == 0 and not _OPEN.value:
+        _HELD.release()
+        _GATE.acquire(timeout=30)
+    return {"y": cfg["k"] * 5.0 + cfg["seed"] / 13.0}
+
+
+HELD = register(Scenario(
+    name="_death_held",
+    title="pool-death scenario (held)",
+    description="holds each sweep's first point until the pool is reset",
+    run_point=death_held_point,
+    grid={"k": tuple(range(8))},
+    x="k",
+    curves=("y",),
 ), replace=True)
 
 
@@ -59,21 +86,29 @@ def test_concurrent_sweeps_on_one_pool_both_survive_a_kill():
     """Whichever sweep detects the death tears the shared pool down,
     which drops the other sweep's queued tasks too; that sweep must
     notice and re-dispatch instead of waiting forever."""
-    serial = {s: run_sweep("_death_slow", seed=s, workers=1) for s in (1, 2)}
+    serial = {s: run_sweep("_death_held", seed=s, workers=1) for s in (1, 2)}
     results = {}
     with SweepPool(2) as pool:
-        run_sweep("_death_slow", {"k": [0, 1], "delay_s": 0.0}, pool=pool)
+        run_sweep("_death_held", {"k": [1, 2]}, pool=pool)
         victims = pool.worker_pids()
+        _OPEN.value = 0
         threads = [
             threading.Thread(
                 target=lambda s=s: results.__setitem__(
-                    s, run_sweep("_death_slow", seed=s, pool=pool)),
+                    s, run_sweep("_death_held", seed=s, pool=pool)),
                 daemon=True)
             for s in (1, 2)
         ]
         for t in threads:
             t.start()
-        time.sleep(0.4)
+        # Every other point finishes at once, so each worker ends up
+        # holding one sweep's k=0 point: both sweeps are in flight. The
+        # survivor stays held until the reset terminates it, so its
+        # sweep can finish only by re-dispatching; re-dispatched points
+        # are not held.
+        for _ in range(2):
+            assert _HELD.acquire(timeout=30), "a sweep's first point never ran"
+        _OPEN.value = 1
         os.kill(victims[0], signal.SIGKILL)
         for t in threads:
             t.join(timeout=30)

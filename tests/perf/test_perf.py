@@ -77,6 +77,7 @@ def test_rate_model_math():
 
 def test_samples_model_math():
     m = SamplesPerfModel(rate_per_s=10.0, startup_s=0.5)
+    assert m.time_for(0) == 0
     assert m.time_for(10) == pytest.approx(1.5)
 
 
@@ -87,9 +88,9 @@ def test_model_validation():
         RatePerfModel(bandwidth_bps=1, startup_s=-1)
     with pytest.raises(ValueError):
         SamplesPerfModel(rate_per_s=-5)
-    m = RatePerfModel(bandwidth_bps=1)
-    with pytest.raises(ValueError):
-        m.time_for(-1)
+    for m in (RatePerfModel(bandwidth_bps=1), SamplesPerfModel(rate_per_s=1)):
+        with pytest.raises(ValueError):
+            m.time_for(-1)
 
 
 def test_make_models_bind_calibration():

@@ -34,10 +34,10 @@ def concurrent_submits(address, requests):
     return results
 
 
-def submit_twice_while_held(server, address, req):
-    """Submit ``req``, then submit it again while the first job is held
-    before it runs, so the second submit provably finds it live. Returns
-    each connection's event list."""
+def submit_while_held(server, address, reqs):
+    """Submit ``reqs`` one after another while every job is held before
+    it runs, so a later submit provably finds the earlier jobs live.
+    Returns each connection's event list."""
     release = threading.Event()
     run_job = server._run_job
 
@@ -46,16 +46,16 @@ def submit_twice_while_held(server, address, req):
         run_job(job, hit)
 
     server._run_job = held_run_job
-    results = [[], []]
-    accepted = [threading.Event(), threading.Event()]
+    results = [[] for _ in reqs]
+    accepted = [threading.Event() for _ in reqs]
 
     def worker(i):
-        for ev in request_stream(address, dict(req)):
+        for ev in request_stream(address, dict(reqs[i])):
             results[i].append(ev)
             accepted[i].set()
         accepted[i].set()
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(reqs))]
     started = []
     try:
         for t, acc in zip(threads, accepted):
@@ -102,9 +102,10 @@ def test_eight_identical_submits_execute_once(server, address):
 
 def test_interleaved_distinct_requests_do_not_cross_coalesce(server, address):
     """Identical pairs coalesce with each other, never across seeds."""
-    reqs = [protocol.submit_request("_serve_slow", seed=s)
-            for s in (1, 1, 2, 2)]
-    results = concurrent_submits(address, reqs)
+    no_delay = {"delay_s": 0.0}
+    reqs = [protocol.submit_request("_serve_slow", no_delay, seed=s)
+            for s in (1, 2, 1, 2)]
+    results = submit_while_held(server, address, reqs)
     by_seed = {}
     for req, evs in zip(reqs, results):
         by_seed.setdefault(req["seed"], []).append(evs)
@@ -115,7 +116,7 @@ def test_interleaved_distinct_requests_do_not_cross_coalesce(server, address):
         jobs[seed] = ids.pop()
         payloads = {evs[-1]["payload"] for evs in pair}
         assert len(payloads) == 1
-        offline = run_sweep("_serve_slow", seed=seed, workers=1)
+        offline = run_sweep("_serve_slow", no_delay, seed=seed, workers=1)
         assert payloads.pop() == offline.pretty_json()
     assert jobs[1] != jobs[2]  # ...and the seeds never share one
     stats = request_one(address, {"verb": "status"})["stats"]
@@ -140,7 +141,7 @@ def test_mode_combinations_coalesce_and_match_offline(server, address):
                 "fig8", overrides, seed=1234,
                 reference_engine=ref_engine, reference_model=ref_model,
             )
-            results = submit_twice_while_held(server, address, req)
+            results = submit_while_held(server, address, [req, req])
             assert {evs[0]["job"] for evs in results} and \
                 sum(evs[0]["coalesced"] for evs in results) == 1
             for evs in results:

@@ -17,7 +17,6 @@ from repro import runctx
 from repro.sim import (
     Environment,
     Interrupt,
-    PriorityResource,
     Resource,
     SimulationError,
     Store,
@@ -27,12 +26,12 @@ from repro.sim import (
 def _mixed_scenario(env: Environment) -> list:
     """Dense mixed workload covering every specialized dispatch path."""
     log = []
-    res = PriorityResource(env, capacity=2)
+    res = Resource(env, capacity=2)
     plain = Resource(env, capacity=1)
     store = Store(env, capacity=3)
 
     def worker(i):
-        with res.request(priority=i % 3) as req:
+        with res.request() as req:
             yield req
             yield env.timeout(1 + i % 4)
             log.append(("worker", i, env.now))
@@ -40,7 +39,7 @@ def _mixed_scenario(env: Environment) -> list:
 
     def fickle(i):
         yield env.timeout(0.5 * i)
-        req = res.request(priority=0)
+        req = res.request()
         yield env.timeout(0.25)
         req.cancel()
         log.append(("cancel", i, env.now))
@@ -272,20 +271,20 @@ def test_withdrawn_request_skipped_at_grant_time():
     assert order == [5]
 
 
-def test_priority_queue_mass_cancel_compacts():
+def test_resource_mass_cancel_compacts():
     env = Environment()
-    res = PriorityResource(env, capacity=1)
+    res = Resource(env, capacity=1)
     served = []
 
     def holder():
-        with res.request(priority=0) as req:
+        with res.request() as req:
             yield req
             yield env.timeout(10)
 
     def churn():
         yield env.timeout(1)
-        reqs = [res.request(priority=5) for _ in range(200)]
-        keeper = res.request(priority=7)
+        reqs = [res.request() for _ in range(200)]
+        keeper = res.request()
         yield env.timeout(1)
         for r in reqs:
             r.cancel()
@@ -293,7 +292,7 @@ def test_priority_queue_mass_cancel_compacts():
         # exact and the physical queue is bounded well below the 200
         # cancelled entries (only a sub-threshold tail may linger).
         assert res.queued == 1
-        assert len(res._pqueue) < 64
+        assert len(res.queue) < 64
         with keeper:
             granted_at = yield keeper
             served.append(env.now)
@@ -304,28 +303,30 @@ def test_priority_queue_mass_cancel_compacts():
     assert served == [10]
 
 
-def test_priority_resource_grants_when_queue_is_all_tombstones():
+def test_resource_grants_when_queue_is_all_tombstones():
     env = Environment()
-    res = PriorityResource(env, capacity=1)
+    res = Resource(env, capacity=1)
     got = []
 
     def holder():
-        with res.request(priority=0) as req:
+        with res.request() as req:
             yield req
             yield env.timeout(5)
 
     def canceller():
         yield env.timeout(1)
-        reqs = [res.request(priority=1) for _ in range(3)]
+        reqs = [res.request() for _ in range(3)]
         yield env.timeout(1)
         for r in reqs:
             r.cancel()
+        assert len(res.queue) == 3 and res.queued == 0
 
     def late():
-        # Arrives while the queue holds only tombstones and the holder
-        # has released: must be granted immediately, not stranded.
+        # Arrives after the holder's release popped every tombstone:
+        # must be granted immediately, not stranded.
         yield env.timeout(6)
-        with res.request(priority=9) as req:
+        assert len(res.queue) == 0
+        with res.request() as req:
             yield req
             got.append(env.now)
 
@@ -581,25 +582,3 @@ def test_store_sync_completion_preserves_fifo():
     assert [p[1] for p in puts] == [0, 1, 2, 3, 4, 5]
     assert [g[1] for g in gots] == [0, 1, 2, 3, 4, 5]
 
-
-def test_store_filtered_get_does_not_starve():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer(tag, flt):
-        v = yield store.get(flt)
-        got.append((tag, v))
-
-    env.process(consumer("odd", lambda x: x % 2 == 1))
-    env.process(consumer("any", None))
-
-    def producer():
-        yield env.timeout(1)
-        yield store.put(2)  # serves "any" even though "odd" queued first
-        yield env.timeout(1)
-        yield store.put(3)
-
-    env.process(producer())
-    env.run()
-    assert sorted(got) == [("any", 2), ("odd", 3)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim import AllOf, Environment, Interrupt
 
 
 # --------------------------------------------------------------------------- #
@@ -221,19 +221,6 @@ def test_all_of_waits_for_every_event():
     assert done_at == [5]
 
 
-def test_any_of_fires_on_first():
-    env = Environment()
-    done_at = []
-
-    def proc():
-        yield env.any_of([env.timeout(4), env.timeout(2), env.timeout(9)])
-        done_at.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert done_at == [2]
-
-
 def test_condition_value_maps_events():
     env = Environment()
 
@@ -245,17 +232,6 @@ def test_condition_value_maps_events():
 
     p = env.process(proc())
     assert env.run(p) == ["a", "b"]
-
-
-def test_and_or_operators():
-    env = Environment()
-
-    def proc():
-        yield (env.timeout(1) & env.timeout(2)) | env.timeout(50)
-        return env.now
-
-    p = env.process(proc())
-    assert env.run(p) == 2
 
 
 def test_empty_all_of_triggers_immediately():

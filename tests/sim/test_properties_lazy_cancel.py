@@ -4,7 +4,7 @@ PR-1 made cancellation lazy everywhere: a cancelled queued request is
 tombstoned (``_withdrawn``) and dropped at pop time, with periodic
 compaction bounding the garbage (``docs/PERFORMANCE.md``). These
 hypothesis tests drive random interleavings of request/cancel/release
-against :class:`Resource` and :class:`PriorityResource` and check, after
+against :class:`Resource` and check, after
 every single operation:
 
 1. a withdrawn request is never served (never triggers, never appears
@@ -17,14 +17,13 @@ every single operation:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Interrupt, PriorityResource, Resource
+from repro.sim import Environment, Interrupt, Resource
 from repro.sim.resources import _COMPACT_MIN
 
-# One step of the interleaving: (operation, target pick, priority pick).
+# One step of the interleaving: (operation, target pick).
 _OPS = st.tuples(
     st.sampled_from(["request", "cancel", "release"]),
     st.integers(min_value=0, max_value=10**6),
-    st.integers(min_value=0, max_value=7),
 )
 
 
@@ -40,24 +39,21 @@ def _check_invariants(res, granted, withdrawn):
         assert r not in res.users
     assert len(res.users) <= res.capacity
     assert res.queued >= 0
-    if isinstance(res, PriorityResource):
-        assert _stale_bound_ok(res._pstale, len(res._pqueue))
-    else:
-        assert _stale_bound_ok(res._stale, len(res.queue))
+    assert _stale_bound_ok(res._stale, len(res.queue))
     # Every granted-and-not-yet-released request is accounted for.
     for r in granted:
         assert r in res.users
 
 
-def _drive(res, ops, priority: bool):
+def _drive(res, ops):
     """Apply a random op sequence at the resource API level, checking
     the invariants after every operation."""
     issued = []          # every request ever made, in order
     granted = set()      # triggered and not yet released
     withdrawn = []       # cancelled while still queued
-    for op, pick, prio in ops:
+    for op, pick in ops:
         if op == "request":
-            req = res.request(priority=prio) if priority else res.request()
+            req = res.request()
             issued.append(req)
             if req._triggered:
                 granted.add(req)
@@ -83,21 +79,8 @@ def _drive(res, ops, priority: bool):
 def test_resource_random_interleaving_invariants(capacity, ops):
     env = Environment()
     res = Resource(env, capacity=capacity)
-    withdrawn = _drive(res, ops, priority=False)
+    withdrawn = _drive(res, ops)
     # Draining every queued request must still never revive a tombstone.
-    for r in list(res.users):
-        res.release(r)
-    for r in withdrawn:
-        assert not r._triggered
-
-
-@given(capacity=st.integers(min_value=1, max_value=4),
-       ops=st.lists(_OPS, max_size=250))
-@settings(max_examples=80, deadline=None)
-def test_priority_resource_random_interleaving_invariants(capacity, ops):
-    env = Environment()
-    res = PriorityResource(env, capacity=capacity)
-    withdrawn = _drive(res, ops, priority=True)
     for r in list(res.users):
         res.release(r)
     for r in withdrawn:
@@ -115,16 +98,16 @@ def test_withdrawn_requests_never_served_under_simulation(holds, cancels, capaci
     fickle processes request, wait a random delay, and cancel. No
     cancelled-in-queue request may ever be granted afterwards."""
     env = Environment()
-    res = PriorityResource(env, capacity=capacity)
+    res = Resource(env, capacity=capacity)
     served_after_withdraw = []
 
     def holder(d):
-        with res.request(priority=0) as req:
+        with res.request() as req:
             yield req
             yield env.timeout(d)
 
     def fickle(i, d):
-        req = res.request(priority=1 + i % 3)
+        req = res.request()
         yield env.timeout(d)
         if not req._triggered:
             req.cancel()
@@ -152,23 +135,19 @@ def test_mass_cancellation_compacts_past_threshold(n):
     compacted (tombstones swept), not a graveyard that pop-time skipping
     would have to wade through forever."""
     env = Environment()
-    for res in (Resource(env, capacity=1), PriorityResource(env, capacity=1)):
-        hold = res.request()
-        assert hold._triggered
-        reqs = [res.request() for _ in range(n)]
-        for r in reqs:
-            r.cancel()
-        if isinstance(res, PriorityResource):
-            stale, qlen = res._pstale, len(res._pqueue)
-            tombstones = sum(1 for e in res._pqueue if e[2]._withdrawn)
-        else:
-            stale, qlen = res._stale, len(res.queue)
-            tombstones = sum(1 for r in res.queue if r._withdrawn)
-        assert tombstones == stale
-        assert _stale_bound_ok(stale, qlen), "compaction did not fire past threshold"
-        assert stale < _COMPACT_MIN, "tombstone garbage exceeds the policy bound"
-        assert res.queued == 0
-        res.release(hold)
+    res = Resource(env, capacity=1)
+    hold = res.request()
+    assert hold._triggered
+    reqs = [res.request() for _ in range(n)]
+    for r in reqs:
+        r.cancel()
+    stale, qlen = res._stale, len(res.queue)
+    tombstones = sum(1 for r in res.queue if r._withdrawn)
+    assert tombstones == stale
+    assert _stale_bound_ok(stale, qlen), "compaction did not fire past threshold"
+    assert stale < _COMPACT_MIN, "tombstone garbage exceeds the policy bound"
+    assert res.queued == 0
+    res.release(hold)
 
 
 def test_interrupted_waiter_does_not_leak_slot():

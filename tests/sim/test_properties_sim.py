@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=30))
@@ -46,34 +46,6 @@ def test_resource_never_oversubscribed(capacity, works):
     env.run()
     assert max_seen[0] <= capacity
     assert res.count == 0
-
-
-@given(
-    puts=st.lists(st.floats(min_value=0.1, max_value=10), min_size=1, max_size=20),
-)
-@settings(max_examples=50, deadline=None)
-def test_container_conserves_mass(puts):
-    """Total put == level + total got at all times; level within bounds."""
-    env = Environment()
-    tank = Container(env, capacity=sum(puts) + 1)
-    got = [0.0]
-
-    def producer():
-        for p in puts:
-            yield tank.put(p)
-            yield env.timeout(0.1)
-
-    def consumer():
-        for p in puts:
-            yield tank.get(p / 2)
-            got[0] += p / 2
-            yield env.timeout(0.05)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert tank.level >= -1e-9
-    assert abs(tank.level + got[0] - sum(puts)) < 1e-9
 
 
 @given(items=st.lists(st.integers(), min_size=0, max_size=40))

@@ -1,8 +1,8 @@
-"""Unit tests for Resource/PriorityResource/Container/Store."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 # --------------------------------------------------------------------------- #
@@ -25,6 +25,30 @@ def test_resource_serializes_at_capacity():
     env.run()
     starts = {i: t for op, i, t in log if op == "start"}
     assert starts == {0: 0, 1: 0, 2: 10, 3: 10}
+
+
+def test_resource_grants_in_fifo_order():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    order = []
+
+    def holder():
+        with res.request() as req:
+            yield req
+            yield env.timeout(5)
+
+    def worker(i):
+        yield env.timeout(1)
+        with res.request() as req:
+            yield req
+            order.append(i)
+            yield env.timeout(1)
+
+    env.process(holder())
+    for i in range(3):
+        env.process(worker(i))
+    env.run()
+    assert order == [0, 1, 2]
 
 
 def test_resource_count_and_queue():
@@ -109,244 +133,6 @@ def test_cancel_queued_request_withdraws_it():
 
 
 # --------------------------------------------------------------------------- #
-# PriorityResource                                                             #
-# --------------------------------------------------------------------------- #
-def test_priority_resource_orders_queue():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(10)
-
-    def worker(i, prio, delay):
-        yield env.timeout(delay)
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(i)
-            yield env.timeout(1)
-
-    env.process(holder())
-    env.process(worker("low", 5, 1))
-    env.process(worker("high", 1, 2))
-    env.process(worker("mid", 3, 3))
-    env.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_priority_ties_fifo():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(5)
-
-    def worker(i):
-        yield env.timeout(1)
-        with res.request(priority=7) as req:
-            yield req
-            order.append(i)
-            yield env.timeout(1)
-
-    env.process(holder())
-    for i in range(3):
-        env.process(worker(i))
-    env.run()
-    assert order == [0, 1, 2]
-
-
-# --------------------------------------------------------------------------- #
-# Container                                                                     #
-# --------------------------------------------------------------------------- #
-def test_container_get_blocks_until_level():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    got_at = []
-
-    def consumer():
-        yield tank.get(30)
-        got_at.append(env.now)
-
-    def producer():
-        yield env.timeout(2)
-        yield tank.put(20)
-        yield env.timeout(2)
-        yield tank.put(20)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got_at == [4]
-    assert tank.level == 10
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=50, init=40)
-    put_at = []
-
-    def producer():
-        yield tank.put(20)
-        put_at.append(env.now)
-
-    def consumer():
-        yield env.timeout(3)
-        yield tank.get(15)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert put_at == [3]
-    assert tank.level == 45
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=20)
-    tank = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        tank.put(-1)
-    with pytest.raises(ValueError):
-        tank.get(-1)
-    with pytest.raises(ValueError):
-        tank.try_put(-1)
-    with pytest.raises(ValueError):
-        tank.try_get(-1)
-
-
-def test_container_idle_put_get_complete_synchronously():
-    """Uncontended puts/gets are born processed — no event-loop round
-    trip needed (the Store fast-path contract, mirrored)."""
-    env = Environment()
-    tank = Container(env, capacity=100, init=10)
-    p = tank.put(20)
-    assert p.triggered and p.processed and tank.level == 30
-    g = tank.get(25)
-    assert g.triggered and g.processed and tank.level == 5
-    # Nothing was scheduled: the environment has no pending events.
-    assert env.peek() == float("inf")
-
-
-def test_container_try_put_try_get_idle_paths():
-    env = Environment()
-    tank = Container(env, capacity=50, init=0)
-    assert tank.try_put(30) and tank.level == 30
-    assert not tank.try_put(30), "over capacity must refuse"
-    assert tank.level == 30
-    assert tank.try_get(10) and tank.level == 20
-    assert not tank.try_get(25), "insufficient level must refuse"
-    assert tank.level == 20
-
-
-def test_container_contended_put_takes_slow_path_fifo():
-    """A put that does not fit queues; later puts must queue behind it
-    (FIFO) even if they would fit, and try_put must refuse."""
-    env = Environment()
-    tank = Container(env, capacity=50, init=45)
-    done = []
-
-    def big_putter():
-        yield tank.put(20)  # blocks: 45 + 20 > 50
-        done.append(("big", env.now))
-
-    def small_putter():
-        yield env.timeout(1)
-        assert not tank.try_put(1), "try_put must not jump the queue"
-        yield tank.put(1)  # fits, but FIFO-queued behind the big put
-        done.append(("small", env.now))
-
-    def consumer():
-        yield env.timeout(2)
-        yield tank.get(40)
-
-    env.process(big_putter())
-    env.process(small_putter())
-    env.process(consumer())
-    env.run()
-    assert done == [("big", 2), ("small", 2)]
-    assert tank.level == 45 - 40 + 20 + 1
-
-
-def test_container_contended_get_takes_slow_path_fifo():
-    """A blocked getter is served before a later, smaller get; try_get
-    refuses while a getter is queued."""
-    env = Environment()
-    tank = Container(env, capacity=100, init=5)
-    done = []
-
-    def big_getter():
-        yield tank.get(30)
-        done.append(("big", env.now))
-
-    def small_getter():
-        yield env.timeout(1)
-        assert not tank.try_get(5), "try_get must not jump the queue"
-        yield tank.get(5)
-        done.append(("small", env.now))
-
-    def producer():
-        yield env.timeout(2)
-        yield tank.put(40)
-
-    env.process(big_getter())
-    env.process(small_getter())
-    env.process(producer())
-    env.run()
-    assert done == [("big", 2), ("small", 2)]
-    assert tank.level == 5 + 40 - 30 - 5
-
-
-def test_container_try_put_wakes_blocked_getter():
-    """The synchronous fast path still settles waiting opposite-side
-    events, exactly like the event-based path would."""
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    got_at = []
-
-    def consumer():
-        yield tank.get(10)
-        got_at.append(env.now)
-
-    def producer():
-        yield env.timeout(3)
-        assert tank.try_put(15)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got_at == [3]
-    assert tank.level == 5
-
-
-def test_container_try_get_unblocks_queued_putter():
-    env = Environment()
-    tank = Container(env, capacity=20, init=20)
-    put_at = []
-
-    def producer():
-        yield tank.put(10)  # blocked at capacity
-        put_at.append(env.now)
-
-    def consumer():
-        yield env.timeout(4)
-        assert tank.try_get(15)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert put_at == [4]
-    assert tank.level == 20 - 15 + 10
-
-
-# --------------------------------------------------------------------------- #
 # Store                                                                         #
 # --------------------------------------------------------------------------- #
 def test_store_fifo_order():
@@ -387,53 +173,6 @@ def test_store_capacity_blocks_put():
     env.process(consumer())
     env.run(until=20)
     assert put_times == [0, 5, 10]
-
-
-def test_store_filtered_get_skips_nonmatching():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer():
-        v = yield store.get(lambda x: x >= 10)
-        got.append(v)
-
-    def producer():
-        yield store.put(1)
-        yield store.put(12)
-        yield store.put(2)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [12]
-    assert list(store.items) == [1, 2]
-
-
-def test_store_filtered_getter_does_not_block_plain_getter():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def filtered():
-        v = yield store.get(lambda x: x == "never")
-        got.append(("filtered", v))
-
-    def plain():
-        yield env.timeout(1)
-        v = yield store.get()
-        got.append(("plain", v))
-
-    env.process(filtered())
-    env.process(plain())
-
-    def producer():
-        yield env.timeout(2)
-        yield store.put("item")
-
-    env.process(producer())
-    env.run(until=5)
-    assert got == [("plain", "item")]
 
 
 def test_store_len():
